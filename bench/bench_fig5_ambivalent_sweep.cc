@@ -9,11 +9,11 @@
 // applied erroneously (100% must be processed), the overhead over the plain
 // scan stays small (<2%).
 //
-// We control the investigated fraction with SmaGAggrOptions::
-// force_ambivalent_fraction (demoted buckets are re-checked tuple-by-tuple,
-// so results remain correct at every x). Runtime is modeled 1997-disk
-// seconds: skip-sequential bucket fetches pay a short seek, which is what
-// creates the crossover.
+// We control the investigated fraction with BucketAggrOptions::
+// force_ambivalent_fraction on the SMA_GAggr action table (demoted buckets
+// are fetched and filtered per row, so results remain correct at every x).
+// Runtime is modeled 1997-disk seconds: skip-sequential bucket fetches pay
+// a short seek, which is what creates the crossover.
 
 #include "bench/bench_util.h"
 #include "planner/planner.h"
@@ -59,10 +59,11 @@ int main(int argc, char** argv) {
   double overhead_at_full = 0.0;
   for (double x :
        {0.0, 0.025, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 1.0}) {
-    exec::SmaGAggrOptions options;
+    exec::BucketAggrOptions options;
     options.force_ambivalent_fraction = x;
-    auto op = Check(exec::SmaGAggr::Make(q1.table, q1.pred, q1.group_by,
-                                         q1.aggs, &smas, options));
+    auto op = Check(exec::BucketAggr::Make(q1.table, q1.pred, q1.group_by,
+                                           q1.aggs, &smas,
+                                           exec::kSmaGAggrActions, options));
     Check(db.pool.DropAll());
     base = db.disk.stats();
     plan::QueryResult result = Check(plan::RunToCompletion(op.get()));

@@ -609,7 +609,8 @@ Status Database::Execute(std::string_view statement) {
   }
   if (tokens[0].text == "set") {
     // `set <knob> = <value>`. Execution knobs: dop (0 = auto/hardware),
-    // batch_size (0 = row mode). Governor knobs (DESIGN.md §10):
+    // batch_size (rows per column batch, 1..exec::kMaxBatchSize). Governor
+    // knobs (DESIGN.md §10):
     // timeout_ms (0 = none), memory_limit (bytes, 0 = unbudgeted),
     // max_concurrent_queries (0 = admission off), allow_degraded (0/1).
     // Durability knobs (DESIGN.md §12): wal_sync_interval (0 = manual),
@@ -647,6 +648,7 @@ Status Database::Execute(std::string_view statement) {
         return Status::OK();
       }
       if (tokens[1].text == "batch_size") {
+        SMADB_RETURN_NOT_OK(exec::ValidateBatchSize(static_cast<size_t>(n)));
         set_batch_size(static_cast<size_t>(n));
         return Status::OK();
       }

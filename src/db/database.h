@@ -49,7 +49,7 @@ class Session;
 /// only the copy.
 struct SessionKnobs {
   size_t dop = 0;               ///< 0 = auto (hardware concurrency)
-  size_t batch_size = 0;        ///< 0 = row mode (filled from planner default)
+  size_t batch_size = 0;        ///< rows per batch (filled from planner default)
   int64_t timeout_ms = 0;       ///< 0 = no deadline
   size_t query_memory_limit = 0;  ///< 0 = bounded only by the global budget
   bool allow_degraded = true;
@@ -249,7 +249,7 @@ class Database {
   }
 
   /// Default batch size for aggregation plans; equivalent to
-  /// `set batch_size = <n>`. 0 = tuple-at-a-time (row mode).
+  /// `set batch_size = <n>`, which accepts 1..exec::kMaxBatchSize.
   void set_batch_size(size_t batch_size) {
     std::lock_guard<std::mutex> lock(knobs_mu_);
     options_.planner.batch_size = batch_size;

@@ -1,5 +1,6 @@
 #include "db/session.h"
 
+#include "exec/batch.h"
 #include "expr/parser.h"
 
 namespace smadb::db {
@@ -40,6 +41,7 @@ Status Session::Execute(std::string_view statement) {
       return Status::OK();
     }
     if (tokens[1].text == "batch_size") {
+      SMADB_RETURN_NOT_OK(exec::ValidateBatchSize(static_cast<size_t>(n)));
       set_batch_size(static_cast<size_t>(n));
       return Status::OK();
     }

@@ -1,4 +1,4 @@
-// Shared grouping-aggregation machinery for GAggr and SMA_GAggr.
+// Shared grouping-aggregation machinery for GAggr and BucketAggr.
 //
 // Aggregate state is exact: sums/min/max of the integral family accumulate
 // in int64 (decimals as cents); averages are finalized as sum/count in the
@@ -70,16 +70,14 @@ class GroupState {
         acc_(aggs->size(), 0),
         defined_(aggs->size(), false) {}
 
-  /// Phase 2, tuple path: folds one input tuple.
-  void AddTuple(const storage::TupleRef& t);
-
-  /// Phase 2, SMA path: folds one bucket summary for aggregate `idx`.
+  /// Phase 2: folds one summary for aggregate `idx` — a bucket's SMA entry
+  /// or a BatchAggregator partial.
   /// For sum/avg pass the summed value, for min/max the extreme, for count
   /// the bucket count. `bucket_count` is the group's count(*) in the bucket
   /// (needed once per bucket for averages — pass it via AddBucketCount).
   void AddSummary(size_t idx, int64_t value);
 
-  /// Phase 2, SMA path: adds the group's tuple count of one bucket.
+  /// Phase 2: adds the group's tuple count of one bucket or partial.
   void AddBucketCount(int64_t count) { row_count_ += count; }
 
   /// Folds another partial state for the same group into this one. Exact:

@@ -27,12 +27,25 @@
 
 #include "storage/column_batch.h"
 #include "storage/schema.h"
+#include "util/status.h"
+#include "util/string_util.h"
 
 namespace smadb::exec {
 
 /// Default rows per batch: big enough to amortize per-batch overhead,
 /// small enough that a few decoded columns stay L1/L2-resident.
 inline constexpr size_t kDefaultBatchSize = 1024;
+
+/// Largest accepted rows-per-batch: a batch is allocated up front, and a
+/// few decoded columns of 64Ki rows are already megabytes.
+inline constexpr size_t kMaxBatchSize = size_t{1} << 16;
+
+/// InvalidArgument naming the valid range unless 1 <= n <= kMaxBatchSize.
+inline util::Status ValidateBatchSize(size_t n) {
+  if (n >= 1 && n <= kMaxBatchSize) return util::Status::OK();
+  return util::Status::InvalidArgument(util::Format(
+      "batch_size must be in [1, %zu], got %zu", kMaxBatchSize, n));
+}
 
 struct Batch {
   storage::ColumnBatch cols;

@@ -118,6 +118,10 @@ void BatchAggregator::AddBatch(const Batch& batch) {
       if (inserted) {
         keys_.push_back(key_scratch_);
         groups_.push_back(MakeGroup());
+        // Hash node + its key copy, the gid -> key copy, and the group's
+        // accumulators.
+        approx_bytes_ += 2 * key_width_ + sizeof(Group) +
+                         aggs_->size() * sizeof(int64_t) + 64;
       }
       gid = it->second;
       last_gid = gid;
@@ -221,6 +225,7 @@ void BatchAggregator::FlushInto(GroupTable* table) {
   gids_.clear();
   keys_.clear();
   groups_.clear();
+  approx_bytes_ = 0;
 }
 
 }  // namespace smadb::exec

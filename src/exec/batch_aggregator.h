@@ -1,6 +1,6 @@
 // BatchAggregator: fused grouping-aggregation kernels over column batches.
 //
-// The batch-at-a-time counterpart of GroupState::AddTuple. Per batch it
+// The batch-at-a-time input side of GroupState. Per batch it
 // runs two passes: (1) one pass over the selection vector resolving each
 // row's group id from fixed-width raw key bytes (with a last-key cache that
 // exploits the paper's time-of-creation clustering — consecutive tuples
@@ -9,10 +9,10 @@
 // Value/serialize/std::map lookup and a per-aggregate expression-tree walk
 // with array arithmetic.
 //
-// Exactness: sums/min/max accumulate in the same int64 arithmetic as the
-// row path, and FlushInto folds the partials through GroupState::
-// AddBucketCount/AddSummary — the same entry points the SMA path uses — so
-// a flush-then-Emit reproduces the row path bit for bit, in the same
+// Exactness: sums/min/max accumulate in exact int64 arithmetic, and
+// FlushInto folds the partials through GroupState::AddBucketCount/
+// AddSummary — the same entry points the SMA path uses — so partials from
+// any batch size or worker split emit bit-identical groups in the same
 // deterministic key order.
 
 #ifndef SMADB_EXEC_BATCH_AGGREGATOR_H_
@@ -47,6 +47,11 @@ class BatchAggregator {
   /// AddSummary entry points the SMA path uses) and resets this aggregator.
   void FlushInto(GroupTable* table);
 
+  /// Estimated heap footprint of the partial groups, maintained as groups
+  /// appear (zero after FlushInto). Operators charge its growth against
+  /// the query budget while they scan, like GroupTable::approx_bytes().
+  size_t approx_bytes() const { return approx_bytes_; }
+
  private:
   /// One group's partial state: raw accumulators parallel to *aggs_
   /// (min/max seeded with sentinels — every existing group has >= 1 row,
@@ -77,6 +82,7 @@ class BatchAggregator {
   std::unordered_map<std::string, uint32_t> gids_;
   std::vector<std::string> keys_;  // gid -> raw key bytes
   std::vector<Group> groups_;
+  size_t approx_bytes_ = 0;
 
   // Per-batch scratch (reused; sized to the selection).
   std::vector<KeyPtr> key_ptrs_;

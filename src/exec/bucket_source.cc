@@ -25,7 +25,6 @@ void BucketSource::Reset() {
   // A re-executed operator sees a fresh consistent prefix.
   snapshot_ = table_->CaptureSnapshot();
   serial_next_ = 0;
-  claim_next_.store(0, std::memory_order_relaxed);
 }
 
 Result<sma::Grade> BucketSource::GradeLatched(sma::BucketGrader* grader,

@@ -2,17 +2,16 @@
 //
 // Every SMA access path walks the same structure — the table's physically
 // consecutive buckets (§2.1), graded per predicate (§3.1), then read page
-// by page. This file centralizes that walk, which used to be duplicated
-// across TableScan, SmaScan, and SMA_GAggr, and doubles as the morsel
-// dispenser for parallel execution: one bucket = one work unit, claimed by
-// workers through an atomic counter, each worker grading through its own
-// cursor-backed BucketGrader (graders hold page pins and are therefore
-// per-thread; the Sma structures they read are immutable and shared).
+// by page. This file centralizes that walk for TableScan, SmaScan and
+// BucketAggr. For parallel execution one bucket is one work unit: workers
+// claim bucket indices from ThreadPool::ParallelFor, each grading through
+// its own cursor-backed BucketGrader (graders hold page pins and are
+// therefore per-thread; the Sma structures they read are immutable and
+// shared).
 
 #ifndef SMADB_EXEC_BUCKET_SOURCE_H_
 #define SMADB_EXEC_BUCKET_SOURCE_H_
 
-#include <atomic>
 #include <memory>
 
 #include "expr/predicate.h"
@@ -30,15 +29,6 @@ struct SmaScanStats {
 
   uint64_t BucketsTotal() const {
     return qualifying_buckets + disqualifying_buckets + ambivalent_buckets;
-  }
-  /// Fraction of buckets whose pages had to be fetched.
-  double ProcessedFraction() const {
-    const uint64_t total = BucketsTotal();
-    return total == 0
-               ? 0.0
-               : static_cast<double>(qualifying_buckets +
-                                     ambivalent_buckets) /
-                     static_cast<double>(total);
   }
   /// Folds `g` into the census.
   void Tally(sma::Grade g) {
@@ -70,7 +60,7 @@ struct BucketUnit {
 
 /// Enumerates the buckets of a table for one predicate, grading each
 /// against the SMAs. Serial consumers pull `NextGraded` from one thread;
-/// parallel workers share `ClaimNext` and grade with per-worker graders.
+/// parallel workers grade the buckets they claim with per-worker graders.
 ///
 /// Construction captures a TableSnapshot: the walk covers exactly the
 /// buckets of that consistent append prefix, and the one bucket a
@@ -93,7 +83,7 @@ class BucketSource {
   /// every bucket grades ambivalent and grading is pure overhead.
   bool has_sma_support() const { return has_sma_support_; }
 
-  /// Rewinds both the serial cursor and the parallel claim counter.
+  /// Rewinds the serial cursor and captures a fresh snapshot.
   void Reset();
 
   // --- serial path (single consumer) ---------------------------------------
@@ -102,15 +92,6 @@ class BucketSource {
   util::Result<bool> NextGraded(BucketUnit* out);
 
   // --- parallel path (any number of workers) -------------------------------
-
-  /// Claims the next unprocessed bucket (atomic work-stealing counter).
-  /// Each worker observes a non-decreasing bucket sequence.
-  bool ClaimNext(uint64_t* bucket) {
-    const uint64_t b = claim_next_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= num_buckets()) return false;
-    *bucket = b;
-    return true;
-  }
 
   /// A fresh grading stream for one worker (cursors hold page pins, so a
   /// grader must not be shared across threads; creating one per worker from
@@ -146,7 +127,6 @@ class BucketSource {
   storage::TableSnapshot snapshot_;
   bool has_sma_support_ = false;
   uint64_t serial_next_ = 0;
-  std::atomic<uint64_t> claim_next_{0};
 };
 
 /// Streams the live tuples of a consecutive page range, keeping the current

@@ -8,12 +8,12 @@ namespace smadb::exec {
 using storage::TupleRef;
 using util::Result;
 using util::Status;
-using util::Value;
 
 Result<std::unique_ptr<GAggr>> GAggr::Make(std::unique_ptr<Operator> child,
                                            std::vector<size_t> group_by,
                                            std::vector<AggSpec> aggs,
                                            size_t batch_size) {
+  SMADB_RETURN_NOT_OK(ValidateBatchSize(batch_size));
   SMADB_ASSIGN_OR_RETURN(
       storage::Schema schema,
       AggResultSchema(child->output_schema(), group_by, aggs));
@@ -29,59 +29,39 @@ Status GAggr::Init() {
   next_ = 0;
   SMADB_RETURN_NOT_OK(child_->Init());
 
+  // Project only what grouping, aggregation, and the child's own
+  // predicates read, then run fused kernels per batch.
+  BatchAggregator aggregator(&child_->output_schema(), &group_by_, &aggs_);
+  std::vector<bool> mask = aggregator.RequiredColumns();
+  child_->AddRequiredBatchColumns(&mask);
+  Batch batch;
+  batch.Configure(&child_->output_schema(), batch_size_, std::move(mask));
+  SMADB_RETURN_NOT_OK(ChargeMemory(batch.cols.ApproxBytes(), "ColumnBatch"));
+  // Charges are deltas of the running footprint estimate, so repeated
+  // charges never double-count.
   GroupTable groups(&aggs_);
-  // Charges against the query budget are deltas of the table's running
-  // footprint estimate, so repeated charges never double-count.
   size_t charged = 0;
-  auto charge_groups = [&]() -> Status {
-    if (groups.approx_bytes() > charged) {
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(groups.approx_bytes() - charged, "GroupTable"));
-      charged = groups.approx_bytes();
+  auto charge_groups = [&](size_t bytes) -> Status {
+    if (bytes > charged) {
+      SMADB_RETURN_NOT_OK(ChargeMemory(bytes - charged, "GroupTable"));
+      charged = bytes;
     }
     return Status::OK();
   };
-  if (batch_size_ > 0) {
-    // Vectorized consumption: project only what grouping, aggregation, and
-    // the child's own predicates read, then run fused kernels per batch.
-    BatchAggregator aggregator(&child_->output_schema(), &group_by_, &aggs_);
-    std::vector<bool> mask = aggregator.RequiredColumns();
-    child_->AddRequiredBatchColumns(&mask);
-    Batch batch;
-    batch.Configure(&child_->output_schema(), batch_size_, std::move(mask));
-    SMADB_RETURN_NOT_OK(ChargeMemory(batch.cols.ApproxBytes(), "ColumnBatch"));
-    while (true) {
-      SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
-      SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
-      if (!has) break;
-      aggregator.AddBatch(batch);
-    }
-    aggregator.FlushInto(&groups);
-    SMADB_RETURN_NOT_OK(charge_groups());
-  } else {
-    std::vector<Value> key(group_by_.size());
-    TupleRef t;
-    size_t rows_since_check = 0;
-    while (true) {
-      if (++rows_since_check >= kRowsPerCheck) {
-        rows_since_check = 0;
-        SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
-        SMADB_RETURN_NOT_OK(charge_groups());
-      }
-      SMADB_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-      if (!has) break;
-      for (size_t i = 0; i < group_by_.size(); ++i) {
-        key[i] = t.GetValue(group_by_[i]);
-      }
-      groups.Get(key)->AddTuple(t);
-    }
-    SMADB_RETURN_NOT_OK(charge_groups());
+  while (true) {
+    SMADB_RETURN_NOT_OK(CheckRuntime("GAggr"));
+    SMADB_ASSIGN_OR_RETURN(bool has, child_->NextBatch(&batch));
+    if (!has) break;
+    aggregator.AddBatch(batch);
+    SMADB_RETURN_NOT_OK(charge_groups(aggregator.approx_bytes()));
   }
+  aggregator.FlushInto(&groups);
+  SMADB_RETURN_NOT_OK(charge_groups(groups.approx_bytes()));
   SMADB_RETURN_NOT_OK(groups.Emit(&schema_, &results_));
   if (prof_ != nullptr) {
     prof_->NotePeakBytes(charged);
-    prof_->SetDetail(util::Format("groups=%zu mode=%s", results_.size(),
-                                  batch_size_ > 0 ? "batch" : "row"));
+    prof_->SetDetail(util::Format("groups=%zu batch=%zu", results_.size(),
+                                  batch_size_));
   }
   return Status::OK();
 }

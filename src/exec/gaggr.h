@@ -1,5 +1,6 @@
 // GAggr: grouping with aggregation over any child operator (Dayal's GAggr
-// [4]) — hash grouping, pipeline breaker.
+// [4]) — hash grouping, pipeline breaker. Base-table aggregates run as
+// BucketAggr; GAggr serves the rest (joins, test pipelines).
 
 #ifndef SMADB_EXEC_GAGGR_H_
 #define SMADB_EXEC_GAGGR_H_
@@ -15,15 +16,13 @@ namespace smadb::exec {
 class GAggr final : public Operator {
  public:
   /// Groups the child's output on `group_by` (child-schema ordinals) and
-  /// computes `aggs`. Construction validates via Make().
-  ///
-  /// `batch_size` > 0 consumes the child through NextBatch with the fused
-  /// BatchAggregator kernels (projection limited to the group-by, aggregate
-  /// and child-required columns); 0 keeps the tuple-at-a-time loop. Both
-  /// paths produce bit-identical results in the same order.
+  /// computes `aggs`, pulling the child through NextBatch in batches of
+  /// `batch_size` rows (in [1, kMaxBatchSize]) projected to the group-by,
+  /// aggregate and child-required columns, folded by the fused
+  /// BatchAggregator kernels. Construction validates via Make().
   static util::Result<std::unique_ptr<GAggr>> Make(
       std::unique_ptr<Operator> child, std::vector<size_t> group_by,
-      std::vector<AggSpec> aggs, size_t batch_size = 0);
+      std::vector<AggSpec> aggs, size_t batch_size = kDefaultBatchSize);
 
   const storage::Schema& output_schema() const override { return schema_; }
 
@@ -37,8 +36,6 @@ class GAggr final : public Operator {
     auto scope = BindProfile("GAggr");
     child_->BindContext(ctx);
   }
-
-  size_t num_groups() const { return results_.size(); }
 
  private:
   GAggr(std::unique_ptr<Operator> child, std::vector<size_t> group_by,

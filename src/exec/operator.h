@@ -1,7 +1,9 @@
 // Physical-algebra operator interface: the iterator concept of Graefe [7]
 // the paper's SMA_Scan / SMA_GAggr plug into (Init / Next / implicit close
-// via destructor), extended with a batch-at-a-time protocol (NextBatch)
-// that operators adopt incrementally — see DESIGN.md §9.
+// via destructor), extended with a batch-at-a-time protocol (NextBatch).
+// Aggregation is batch-only (BucketAggr over base tables, GAggr over other
+// children pulling NextBatch); results leave through Next — see DESIGN.md
+// §9.
 
 #ifndef SMADB_EXEC_OPERATOR_H_
 #define SMADB_EXEC_OPERATOR_H_
@@ -97,8 +99,9 @@ class Operator {
     return util::QueryContext::Charge(ctx_, bytes, component);
   }
 
-  /// Rows between checkpoints on row-at-a-time paths (roughly one page's
-  /// worth, so row and batch modes observe cancellation equally fast).
+  /// Rows between checkpoints in row operators (TableScan::Next, Sort,
+  /// HashJoin): roughly one page's worth, so they observe cancellation as
+  /// fast as the bucket/batch checkpoints of the aggregates.
   static constexpr size_t kRowsPerCheck = 512;
 
   util::QueryContext* ctx_ = nullptr;

@@ -587,11 +587,12 @@ void Server::HandleAccept() {
     }
     auto slot = conn_admission_.Admit(0);
     if (!slot.ok()) {
-      // At the cap: shed with a typed line, never queue or hang.
-      TrySendLine(fd, "ERR busy");
-      ::close(fd);
+      // At the cap: shed with a typed line, never queue or hang. Counted
+      // before the reply, so a client that saw `ERR busy` sees the count.
       n_.shed.fetch_add(1, std::memory_order_relaxed);
       m_.shed->Inc();
+      TrySendLine(fd, "ERR busy");
+      ::close(fd);
       continue;
     }
     if (!SetNonBlocking(fd).ok()) {

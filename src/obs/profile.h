@@ -137,7 +137,7 @@ class QueryProfile {
   /// Adds elapsed time to a named lifecycle phase (admission/parse/plan/
   /// execute); repeated phases (ladder reruns) accumulate.
   void AddPhaseNs(std::string_view phase, uint64_t ns);
-  /// Records a notable event ("demoted to row mode: ...").
+  /// Records a notable event ("retried at batch size 16 (...)").
   void AddEvent(std::string note);
   /// One-line plan summary shown at the top of the report.
   void SetSummary(std::string summary);

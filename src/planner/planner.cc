@@ -1,6 +1,5 @@
 #include "planner/planner.h"
 
-#include "exec/parallel_aggr.h"
 #include "obs/profile.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -8,10 +7,8 @@
 
 namespace smadb::plan {
 
-using exec::GAggr;
+using exec::BucketAggr;
 using exec::Operator;
-using exec::ParallelScanAggr;
-using exec::SmaGAggr;
 using exec::SmaScan;
 using exec::TableScan;
 using sma::Grade;
@@ -23,10 +20,19 @@ using util::StatusCode;
 
 namespace {
 
-// Execution-mode suffix for aggregate-plan explanations.
+// Execution suffix for aggregate-plan explanations.
 std::string BatchNote(size_t batch_size) {
-  if (batch_size == 0) return ", row-mode";
   return util::Format(", vectorized(batch=%zu)", batch_size);
+}
+
+Result<std::unique_ptr<BucketAggr>> MakeBucketAggr(
+    const AggQuery& query, const exec::BucketActions& actions,
+    const sma::SmaSet* smas, size_t dop, size_t batch_size) {
+  exec::BucketAggrOptions options;
+  options.degree_of_parallelism = std::max<size_t>(1, dop);
+  options.batch_size = batch_size;
+  return BucketAggr::Make(query.table, query.pred, query.group_by, query.aggs,
+                          smas, actions, options);
 }
 
 // Appends the governor's budget/deadline summary and any degradation
@@ -178,8 +184,8 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
 
   // Can SMA_GAggr be bound at all? (Probe construction; cheap.)
   const bool gaggr_available =
-      SmaGAggr::Make(query.table, query.pred, query.group_by, query.aggs,
-                     smas_)
+      BucketAggr::Make(query.table, query.pred, query.group_by, query.aggs,
+                       smas_, exec::kSmaGAggrActions)
           .ok();
 
   if (gaggr_available &&
@@ -260,54 +266,27 @@ Result<PlanChoice> Planner::ChooseSelect(const SelectQuery& query,
 Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
                                                  PlanKind kind,
                                                  size_t dop) const {
-  dop = std::max<size_t>(1, dop);
+  const exec::BucketActions* actions = nullptr;
+  const sma::SmaSet* smas = smas_;
   switch (kind) {
-    case PlanKind::kSmaGAggr: {
-      exec::SmaGAggrOptions options;
-      options.degree_of_parallelism = dop;
-      options.batch_size = options_.batch_size;
-      SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<SmaGAggr> op,
-          SmaGAggr::Make(query.table, query.pred, query.group_by, query.aggs,
-                         smas_, options));
-      return std::unique_ptr<Operator>(std::move(op));
-    }
-    case PlanKind::kSmaScanAggr: {
-      if (dop > 1) {
-        SMADB_ASSIGN_OR_RETURN(
-            std::unique_ptr<ParallelScanAggr> op,
-            ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, smas_, dop,
-                                   options_.batch_size));
-        return std::unique_ptr<Operator>(std::move(op));
-      }
-      auto scan = std::make_unique<SmaScan>(query.table, query.pred, smas_);
-      SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs,
-                      options_.batch_size));
-      return std::unique_ptr<Operator>(std::move(aggr));
-    }
-    case PlanKind::kScanAggr: {
-      if (dop > 1) {
-        SMADB_ASSIGN_OR_RETURN(
-            std::unique_ptr<ParallelScanAggr> op,
-            ParallelScanAggr::Make(query.table, query.pred, query.group_by,
-                                   query.aggs, /*smas=*/nullptr, dop,
-                                   options_.batch_size));
-        return std::unique_ptr<Operator>(std::move(op));
-      }
-      auto scan = std::make_unique<TableScan>(query.table, query.pred);
-      SMADB_ASSIGN_OR_RETURN(
-          std::unique_ptr<GAggr> aggr,
-          GAggr::Make(std::move(scan), query.group_by, query.aggs,
-                      options_.batch_size));
-      return std::unique_ptr<Operator>(std::move(aggr));
-    }
+    case PlanKind::kSmaGAggr:
+      actions = &exec::kSmaGAggrActions;
+      break;
+    case PlanKind::kSmaScanAggr:
+      actions = &exec::kSmaScanAggrActions;
+      break;
+    case PlanKind::kScanAggr:
+      actions = &exec::kScanAggrActions;
+      smas = nullptr;  // no grading: every bucket is ambivalent
+      break;
     default:
       return Status::InvalidArgument(
           "selection plan kind passed to aggregate Build");
   }
+  SMADB_ASSIGN_OR_RETURN(
+      std::unique_ptr<BucketAggr> op,
+      MakeBucketAggr(query, *actions, smas, dop, options_.batch_size));
+  return std::unique_ptr<Operator>(std::move(op));
 }
 
 Result<std::unique_ptr<Operator>> Planner::BuildSelect(
@@ -357,10 +336,6 @@ bool DemotableFailure(const Status& s) {
   return s.code() == util::StatusCode::kCorruption ||
          s.code() == util::StatusCode::kIOError;
 }
-
-}  // namespace
-
-namespace {
 
 uint64_t ElapsedNs(const util::Stopwatch& w) {
   return static_cast<uint64_t>(w.ElapsedSeconds() * 1e9);
@@ -412,21 +387,22 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
     AnnotateGovernor(&result.plan, ctx);
     return result;
   }
-  // Degradation ladder rung 2 (DESIGN.md §10): a vectorized plan that blew
-  // its memory budget reruns in row mode — the column batches were the
-  // incremental cost, and the row path produces bit-identical results. The
-  // budget is reset for the rerun (monotone per-run charges start over).
+  // Degradation ladder rung 2 (DESIGN.md §10): a plan that blew its
+  // memory budget reruns at a small constant batch size — the column
+  // batches were the incremental cost, and every batch size produces
+  // bit-identical results. The budget is reset for the rerun (monotone
+  // per-run charges start over).
   if (ctx != nullptr &&
       run.status().code() == StatusCode::kResourceExhausted &&
-      options_.batch_size > 0) {
-    ctx->BeginDegradedRun("demoted vectorized plan to row mode (" +
-                          run.status().message() + ")");
-    obs::QueryProfile::Event(prof, "demoted vectorized plan to row mode (" +
-                                       run.status().message() + ")");
-    PlannerOptions row_options = options_;
-    row_options.batch_size = 0;
-    Planner row_planner(smas_, row_options);
-    return row_planner.Execute(query, ctx);
+      options_.batch_size > kLadderBatchSize) {
+    const std::string note =
+        util::Format("retried at batch size %zu (%s)", kLadderBatchSize,
+                     run.status().message().c_str());
+    ctx->BeginDegradedRun(note);
+    obs::QueryProfile::Event(prof, note);
+    PlannerOptions small_options = options_;
+    small_options.batch_size = kLadderBatchSize;
+    return Planner(smas_, small_options).Execute(query, ctx);
   }
   // Rung 3: a SMA_GAggr plan that cannot finish under its deadline or
   // budget still answers from the SMA-files alone — qualifying buckets
@@ -440,13 +416,11 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
                           run.status().message() + ")");
     obs::QueryProfile::Event(prof, "degraded to SMA-only partial answer (" +
                                        run.status().message() + ")");
-    exec::SmaGAggrOptions sma_options;
-    sma_options.degree_of_parallelism = choice.dop;
-    sma_options.sma_only = true;  // never decodes bucket data
+    // kSmaOnlyActions never fetches, so no column batch is allocated.
     SMADB_ASSIGN_OR_RETURN(
-        std::unique_ptr<SmaGAggr> sma_op,
-        SmaGAggr::Make(query.table, query.pred, query.group_by, query.aggs,
-                       smas_, sma_options));
+        std::unique_ptr<BucketAggr> sma_op,
+        MakeBucketAggr(query, exec::kSmaOnlyActions, smas_, choice.dop,
+                       options_.batch_size));
     sma_op->BindContext(ctx);
     util::Stopwatch degraded_watch;
     SMADB_ASSIGN_OR_RETURN(QueryResult result,

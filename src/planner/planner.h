@@ -7,12 +7,14 @@
 // sequential scan is faster (and the erroneous-SMA overhead stays ~2%
 // because grading reads only the tiny SMA-files).
 //
-// Plans for an aggregation query, best first:
+// Plans for an aggregation query, best first. All three run as one
+// exec::BucketAggr; the plan kind picks its per-grade action table:
 //   SMA_GAggr            — aggregates from SMAs; fetches only ambivalent
 //                          buckets. Needs matching aggregate SMAs.
 //   GAggr ∘ SMA_Scan     — selection pruning only; fetches qualifying +
 //                          ambivalent buckets.
-//   GAggr ∘ TableScan    — the fallback the paper measures against.
+//   GAggr ∘ TableScan    — the fallback the paper measures against: no
+//                          grading, every bucket fetched and filtered.
 //
 // Degradation: SMA plans are only eligible while every SMA of the table is
 // trusted and epoch-fresh (SmaSet::TrustIssue). A corrupt, stale, or
@@ -30,8 +32,7 @@
 #include <vector>
 
 #include "exec/batch.h"
-#include "exec/gaggr.h"
-#include "exec/sma_gaggr.h"
+#include "exec/bucket_aggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
 #include "sma/sma_set.h"
@@ -104,11 +105,12 @@ struct PlannerOptions {
   /// each worker should own a few buckets of real work, so tiny tables and
   /// highly pruned plans stay serial.
   size_t degree_of_parallelism = 0;
-  /// Rows per batch for aggregation plans. > 0 (the default) runs the
-  /// vectorized engine: scans decode buckets into column batches, bucket
-  /// grades map onto selection vectors, and aggregation uses the fused
-  /// BatchAggregator kernels. 0 reverts to tuple-at-a-time. Results are
-  /// identical either way; selection (select *) plans always return rows.
+  /// Rows per column batch for aggregation plans, in
+  /// [1, exec::kMaxBatchSize] (Build rejects anything else). Buckets decode
+  /// into column batches, bucket grades map onto selection vectors, and
+  /// aggregation uses the fused BatchAggregator kernels. Results are
+  /// identical for every batch size; selection (select *) plans always
+  /// return rows.
   size_t batch_size = exec::kDefaultBatchSize;
   /// Allow the bottom rung of the degradation ladder: when a SMA_GAggr plan
   /// runs out of deadline or memory, answer from SMAs alone (skipping
@@ -116,6 +118,10 @@ struct PlannerOptions {
   /// failing. Off = the typed error propagates.
   bool allow_degraded = true;
 };
+
+/// Batch size of the degradation ladder's rung 2: a plan that exhausts its
+/// memory budget at a larger batch size is retried at this one.
+inline constexpr size_t kLadderBatchSize = 16;
 
 class Planner {
  public:
@@ -133,9 +139,10 @@ class Planner {
       const SelectQuery& query,
       const util::QueryContext* ctx = nullptr) const;
 
-  /// Instantiates the operator tree for a choice. `dop` > 1 swaps in the
-  /// morsel-parallel forms (ParallelScanAggr, parallel SMA_GAggr); the
-  /// default keeps the serial operators and every existing call site.
+  /// Instantiates the operator for a choice: an exec::BucketAggr running
+  /// the plan kind's action table with `dop` workers (1 = inline on the
+  /// caller). InvalidArgument when PlannerOptions::batch_size is out of
+  /// range or `kind` is a selection plan.
   util::Result<std::unique_ptr<exec::Operator>> Build(const AggQuery& query,
                                                       PlanKind kind,
                                                       size_t dop = 1) const;
@@ -144,8 +151,8 @@ class Planner {
 
   /// Choose + Build + run to completion. `ctx` (optional) is the query's
   /// runtime governor; when bound, failures walk the degradation ladder
-  /// (DESIGN.md §10): a vectorized plan that exhausts its memory budget is
-  /// demoted to row mode, and a SMA_GAggr plan that still cannot finish
+  /// (DESIGN.md §10): a plan that exhausts its memory budget is retried at
+  /// kLadderBatchSize, and a SMA_GAggr plan that still cannot finish
   /// under the deadline/budget answers from SMAs alone with the result
   /// marked `degraded`. Typed errors (kCancelled, kDeadlineExceeded,
   /// kResourceExhausted) propagate when no rung applies — never a hang,

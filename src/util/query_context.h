@@ -197,7 +197,7 @@ class QueryContext {
   }
   uint64_t timeout_ms() const { return timeout_ms_; }
 
-  /// Records a degradation decision ("demoted to row mode: ...").
+  /// Records a degradation decision ("retried at batch size 16 (...)").
   void NoteDegradation(std::string note);
   /// All decisions so far, "; "-joined (empty when none).
   std::string DegradationNotes() const;

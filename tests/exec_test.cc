@@ -1,13 +1,14 @@
 // Tests for the physical operators: TableScan, SMA_Scan (Fig. 6), GAggr,
-// SMA_GAggr (Fig. 7). The central properties: SMA_Scan ≡ TableScan and
-// SMA_GAggr ≡ GAggr on every layout and predicate.
+// BucketAggr running SMA_GAggr (Fig. 7). The central properties:
+// SMA_Scan ≡ TableScan, and SMA_GAggr equals a brute-force aggregation
+// on every layout and predicate.
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "exec/bucket_aggr.h"
 #include "exec/gaggr.h"
-#include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/sort.h"
 #include "exec/table_scan.h"
@@ -24,27 +25,24 @@ using storage::TupleRef;
 using testing::AddMinMaxSmas;
 using testing::ExpectOk;
 using testing::MakeSyntheticTable;
+using testing::ReferenceAggregate;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
 
 // Runs an operator and returns all rows serialized (order-preserving).
 std::vector<std::string> Collect(Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return testing::DrainRowStrings(op);
+}
+
+// BucketAggr with the SMA_GAggr action table.
+std::unique_ptr<BucketAggr> MakeSmaGAggr(storage::Table* t,
+                                         const PredicatePtr& pred,
+                                         std::vector<size_t> group_by,
+                                         std::vector<AggSpec> aggs,
+                                         const sma::SmaSet* smas) {
+  return Unwrap(BucketAggr::Make(t, pred, std::move(group_by),
+                                 std::move(aggs), smas, kSmaGAggrActions));
 }
 
 struct ExecTest : ::testing::Test {
@@ -237,9 +235,15 @@ TEST_F(ExecTest, GAggrValidation) {
   const expr::ExprPtr tag = Unwrap(expr::Column(&t->schema(), "tag"));
   EXPECT_FALSE(
       GAggr::Make(std::move(scan2), {}, {AggSpec::Sum(tag, "s")}).ok());
+  // No row mode: a batch size of 0 is out of range.
+  auto scan3 = std::make_unique<TableScan>(t, Predicate::True());
+  EXPECT_EQ(GAggr::Make(std::move(scan3), {3}, {AggSpec::Count("n")}, 0)
+                .status()
+                .code(),
+            util::StatusCode::kInvalidArgument);
 }
 
-// -------------------------------------------------------------- SmaGAggr --
+// ------------------------------------------------- BucketAggr: SMA_GAggr --
 
 struct Q1LikeSetup {
   storage::Table* table;
@@ -280,12 +284,11 @@ TEST_F(ExecTest, SmaGAggrEquivalentToGAggrAllLayoutsAndOps) {
           &setup.table->schema(), "d", op,
           Value::MakeDate(util::Date(c))));
 
-      auto scan = std::make_unique<TableScan>(setup.table, pred);
-      auto ref =
-          Unwrap(GAggr::Make(std::move(scan), setup.group_by, setup.aggs));
-      auto smag = Unwrap(SmaGAggr::Make(setup.table, pred, setup.group_by,
-                                        setup.aggs, setup.smas.get()));
-      EXPECT_EQ(Collect(ref.get()), Collect(smag.get()))
+      auto smag = MakeSmaGAggr(setup.table, pred, setup.group_by, setup.aggs,
+                               setup.smas.get());
+      EXPECT_EQ(ReferenceAggregate(setup.table, *pred, setup.group_by,
+                                   setup.aggs),
+                Collect(smag.get()))
           << "layout " << static_cast<int>(layout) << " op "
           << static_cast<int>(op) << " c=" << c;
     }
@@ -301,8 +304,8 @@ TEST_F(ExecTest, SmaGAggrUsesSummariesNotTuples) {
       Value::MakeDate(util::Date(0))));
   ExpectOk(db.pool.DropAll());
   db.disk.ResetStats();
-  auto smag = Unwrap(SmaGAggr::Make(setup.table, pred, setup.group_by,
-                                    setup.aggs, setup.smas.get()));
+  auto smag = MakeSmaGAggr(setup.table, pred, setup.group_by, setup.aggs,
+                           setup.smas.get());
   Collect(smag.get());
   EXPECT_GT(smag->stats().qualifying_buckets,
             setup.table->num_buckets() - 3);
@@ -317,8 +320,8 @@ TEST_F(ExecTest, SmaGAggrRequiresCountSma) {
   AddMinMaxSmas(t, &smas, "d");
   const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
   ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, SmaSpec::Sum("s", v, {3})))));
-  auto r = SmaGAggr::Make(t, Predicate::True(), {3},
-                          {AggSpec::Sum(v, "s")}, &smas);
+  auto r = BucketAggr::Make(t, Predicate::True(), {3},
+                            {AggSpec::Sum(v, "s")}, &smas, kSmaGAggrActions);
   EXPECT_EQ(r.status().code(), util::StatusCode::kNotSupported);
 }
 
@@ -330,9 +333,14 @@ TEST_F(ExecTest, SmaGAggrRequiresMatchingAggregates) {
   const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
   ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, SmaSpec::Count("c", {3})))));
   // sum(v) has no SMA -> NotSupported.
-  auto r = SmaGAggr::Make(t, Predicate::True(), {3},
-                          {AggSpec::Sum(v, "s")}, &smas);
+  auto r = BucketAggr::Make(t, Predicate::True(), {3},
+                            {AggSpec::Sum(v, "s")}, &smas, kSmaGAggrActions);
   EXPECT_EQ(r.status().code(), util::StatusCode::kNotSupported);
+  // Action tables that never answer from SMAs need no aggregate SMA.
+  ExpectOk(BucketAggr::Make(t, Predicate::True(), {3},
+                            {AggSpec::Sum(v, "s")}, &smas,
+                            kSmaScanAggrActions)
+               .status());
 }
 
 TEST_F(ExecTest, SmaGAggrFinerGroupingRefinesQuery) {
@@ -352,10 +360,8 @@ TEST_F(ExecTest, SmaGAggrFinerGroupingRefinesQuery) {
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(200))));
   std::vector<AggSpec> aggs = {AggSpec::Sum(v, "sum_v"),
                                AggSpec::Count("cnt")};
-  auto smag = Unwrap(SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-  auto scan = std::make_unique<TableScan>(t, pred);
-  auto ref = Unwrap(GAggr::Make(std::move(scan), {3}, aggs));
-  EXPECT_EQ(Collect(ref.get()), Collect(smag.get()));
+  auto smag = MakeSmaGAggr(t, pred, {3}, aggs, &smas);
+  EXPECT_EQ(ReferenceAggregate(t, *pred, {3}, aggs), Collect(smag.get()));
 }
 
 TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
@@ -375,7 +381,7 @@ TEST_F(ExecTest, SmaGAggrDropsGroupsWithNoQualifyingTuples) {
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kGe, Value::MakeDate(util::Date(100))));
   std::vector<AggSpec> aggs = {AggSpec::Sum(v, "s"), AggSpec::Count("c")};
-  auto smag = Unwrap(SmaGAggr::Make(t, pred, {3}, aggs, &smas));
+  auto smag = MakeSmaGAggr(t, pred, {3}, aggs, &smas);
   for (const std::string& row : Collect(smag.get())) {
     EXPECT_EQ(row.find("Z|"), std::string::npos)
         << "group Z has no qualifying tuples but appeared: " << row;

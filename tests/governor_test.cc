@@ -15,6 +15,7 @@
 
 #include "db/admission.h"
 #include "db/database.h"
+#include "exec/gaggr.h"
 #include "exec/join.h"
 #include "exec/sort.h"
 #include "planner/planner.h"
@@ -263,7 +264,7 @@ struct GovernorPlanTest : GovernorTest {
 TEST_F(GovernorPlanTest, ExpiredDeadlineFailsEveryPlanShape) {
   Setup(testing::Layout::kClustered, "g1");
   query.pred = DatePred(CmpOp::kLe, 40);
-  for (const size_t batch_size : {size_t{0}, exec::kDefaultBatchSize}) {
+  for (const size_t batch_size : {size_t{1}, exec::kDefaultBatchSize}) {
     for (const size_t dop : {size_t{1}, size_t{4}}) {
       PlannerOptions options;
       options.batch_size = batch_size;
@@ -337,20 +338,36 @@ TEST_F(GovernorPlanTest, UserCancelSurfacesAsCancelled) {
 
 TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
   Setup(testing::Layout::kClustered, "g5");
-  // Group by the unique key: the GroupTable grows with every row.
+  // Group by the unique key: the group state grows with every row. The
+  // growth is charged while buckets are read, so the budget trips before
+  // the scan has fetched every table page.
   query.group_by = {0};
   query.pred = Predicate::True();
-  PlannerOptions options;
-  options.batch_size = 0;  // row mode: no ColumnBatch to charge first
-  Planner planner(/*smas=*/nullptr, options);
+  auto fetches = [&] {
+    const storage::PoolStats st = db.pool.stats();
+    return st.hits + st.misses;
+  };
+  // Runs `op` under a budget of a 16 KiB column batch + 16 KiB and checks
+  // the typed failure and the number of page fetches.
+  auto expect_early_group_table_failure = [&](exec::Operator* op) {
+    QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/32 * 1024);
+    op->BindContext(&ctx);
+    const uint64_t before = fetches();
+    const auto run = RunToCompletion(op, &ctx);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(run.status().message().find("GroupTable"), std::string::npos)
+        << run.status().ToString();
+    EXPECT_LT(fetches() - before, table->num_pages());
+  };
+  Planner planner(/*smas=*/nullptr);  // default batch size
   auto op = Unwrap(planner.Build(query, PlanKind::kScanAggr, 1));
-  QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/32 * 1024);
-  op->BindContext(&ctx);
-  const auto run = RunToCompletion(op.get(), &ctx);
-  ASSERT_FALSE(run.ok());
-  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(run.status().message().find("GroupTable"), std::string::npos)
-      << run.status().ToString();
+  expect_early_group_table_failure(op.get());
+  // GAggr over a non-bucket child charges per batch the same way.
+  auto aggr = Unwrap(exec::GAggr::Make(
+      std::make_unique<exec::TableScan>(table, Predicate::True()), {0},
+      query.aggs));
+  expect_early_group_table_failure(aggr.get());
 }
 
 TEST_F(GovernorPlanTest, ColumnBatchBudgetExhaustionNamesColumnBatch) {
@@ -370,18 +387,18 @@ TEST_F(GovernorPlanTest, ColumnBatchBudgetExhaustionNamesColumnBatch) {
 TEST_F(GovernorPlanTest, LadderDemotesVectorizedToRowModeAndRecovers) {
   Setup(testing::Layout::kClustered, "g7");
   query.pred = DatePred(CmpOp::kLe, 40);
-  // Reference: ungoverned row-mode answer.
-  PlannerOptions row;
-  row.batch_size = 0;
-  const QueryResult want =
-      Unwrap(Planner(smas.get(), row).Execute(query));
-  // Budget too small for a column batch but fine for 3 groups of rows.
+  // Reference: ungoverned answer.
   Planner planner(smas.get());
+  const QueryResult want = Unwrap(planner.Execute(query));
+  // Budget too small for a default-size column batch but fine for a
+  // kLadderBatchSize one and 3 groups.
   QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/6 * 1024);
   const QueryResult got = Unwrap(planner.Execute(query, &ctx));
   EXPECT_EQ(got.ToString(), want.ToString());
-  EXPECT_FALSE(got.plan.degraded) << "row mode is exact, not degraded";
-  EXPECT_NE(got.plan.explanation.find("row mode"), std::string::npos)
+  EXPECT_FALSE(got.plan.degraded) << "a smaller batch is exact, not degraded";
+  EXPECT_NE(got.plan.explanation.find(util::Format(
+                "retried at batch size %zu", plan::kLadderBatchSize)),
+            std::string::npos)
       << got.plan.explanation;
 }
 
@@ -389,7 +406,9 @@ TEST_F(GovernorPlanTest, BottomRungAnswersFromSmasAloneMarkedDegraded) {
   Setup(testing::Layout::kClustered, "g8");
   query.pred = DatePred(CmpOp::kLe, 40);
   PlannerOptions options;
-  options.batch_size = 0;  // skip rung 2 so rung 3 is exercised directly
+  // Already at the ladder's batch size: rung 2 is skipped, so rung 3 is
+  // exercised directly.
+  options.batch_size = plan::kLadderBatchSize;
   Planner planner(smas.get(), options);
   // Confirm the plan is SMA_GAggr, then make every GroupTable charge of the
   // first run fail; the degraded rerun (failpoint spent) succeeds.
@@ -411,7 +430,7 @@ TEST_F(GovernorPlanTest, AllowDegradedOffPropagatesTheTypedError) {
   Setup(testing::Layout::kClustered, "g9");
   query.pred = DatePred(CmpOp::kLe, 40);
   PlannerOptions options;
-  options.batch_size = 0;
+  options.batch_size = plan::kLadderBatchSize;  // rung 2 does not apply
   options.allow_degraded = false;
   Planner planner(smas.get(), options);
   util::fault::Arm("governor.charge", {.file_filter = "GroupTable"});
@@ -424,7 +443,7 @@ TEST_F(GovernorPlanTest, AllowDegradedOffPropagatesTheTypedError) {
 TEST_F(GovernorPlanTest, GenerousLimitsAreBitIdenticalToUngoverned) {
   Setup(testing::Layout::kNoisy, "g10");
   query.pred = DatePred(CmpOp::kLe, 120);
-  for (const size_t batch_size : {size_t{0}, exec::kDefaultBatchSize}) {
+  for (const size_t batch_size : {size_t{1}, exec::kDefaultBatchSize}) {
     PlannerOptions options;
     options.batch_size = batch_size;
     Planner planner(smas.get(), options);
@@ -712,7 +731,8 @@ TEST_F(GovernorDbTest, ExplainOfDegradedQueryShowsTheMarker) {
   // Clustered twin database so the plan is SMA_GAggr, then starve the
   // GroupTable of the first (exact) run: explain shows the degraded rung.
   db::DatabaseOptions options;
-  options.planner.batch_size = 0;
+  // Already at the ladder's batch size, so rung 2 does not apply.
+  options.planner.batch_size = plan::kLadderBatchSize;
   db::Database clustered(options);
   storage::Table* t = Unwrap(
       clustered.CreateTable("t", testing::SyntheticSchema()));

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "exec/bucket_aggr.h"
 #include "exec/bucket_source.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -197,8 +198,9 @@ const obs::OperatorProfile* FindCensusNode(const obs::QueryProfile& profile) {
 }
 
 struct ProfileCensusTest : ::testing::Test {
-  void Setup(const std::string& name) {
-    table = MakeSyntheticTable(&db, 2000, Layout::kNoisy, 21, 1, name);
+  void Setup(const std::string& name, uint32_t bucket_pages = 1) {
+    table = MakeSyntheticTable(&db, 2000, Layout::kNoisy, 21, bucket_pages,
+                               name);
     smas = std::make_unique<sma::SmaSet>(table);
     AddMinMaxSmas(table, smas.get(), "d");
     const expr::ExprPtr v = Unwrap(expr::Column(&table->schema(), "v"));
@@ -247,7 +249,7 @@ TEST_F(ProfileCensusTest, EveryPlanShapeMatchesGradeGroundTruth) {
     query.pred = preds[p];
     const Census want = GroundTruth(table, query.pred, smas.get());
     ASSERT_EQ(want.q + want.d + want.a, table->num_buckets());
-    for (const size_t batch_size : {size_t{0}, size_t{256}}) {
+    for (const size_t batch_size : {size_t{1}, size_t{256}}) {
       for (const size_t dop : {size_t{1}, size_t{4}}) {
         for (const PlanKind kind :
              {PlanKind::kSmaScanAggr, PlanKind::kSmaGAggr}) {
@@ -277,10 +279,68 @@ TEST_F(ProfileCensusTest, EveryPlanShapeMatchesGradeGroundTruth) {
   }
 }
 
-// Satellite-2 regression: a vectorized attempt that dies on its memory
-// budget merges each worker's partial census exactly once into the FAILED
-// node, and the row-mode rerun registers a fresh node whose census again
-// equals ground truth — no double counting across the ladder.
+// The census implies the page count: for every action table and DOP, the
+// BucketAggr node's pages-read is the summed page ranges of exactly the
+// buckets that table fetches, and its detail names the plan and the DOP.
+TEST_F(ProfileCensusTest, PagesReadMatchesTheFetchedBuckets) {
+  // Multi-page buckets, so page ranges are weighed, not bucket counts.
+  Setup("pr", /*bucket_pages=*/3);
+  for (const PredicatePtr& pred : PredicateMatrix()) {
+    query.pred = pred;
+    uint64_t pages_q = 0, pages_a = 0, pages_all = 0;
+    exec::BucketSource source(table, pred, smas.get());
+    exec::BucketUnit unit;
+    while (Unwrap(source.NextGraded(&unit))) {
+      const auto [first, end] =
+          table->BucketPageRange(static_cast<uint32_t>(unit.bucket));
+      pages_all += end - first;
+      if (unit.grade == sma::Grade::kQualifies) pages_q += end - first;
+      if (unit.grade == sma::Grade::kAmbivalent) pages_a += end - first;
+    }
+    struct Case {
+      const exec::BucketActions* actions;
+      const sma::SmaSet* smas;
+      uint64_t pages;
+    };
+    const Case cases[] = {
+        {&exec::kSmaScanAggrActions, smas.get(), pages_q + pages_a},
+        {&exec::kSmaGAggrActions, smas.get(), pages_a},
+        {&exec::kScanAggrActions, nullptr, pages_all},
+        {&exec::kSmaOnlyActions, smas.get(), 0},
+    };
+    for (const size_t dop : {size_t{1}, size_t{4}}) {
+      for (const Case& c : cases) {
+        SCOPED_TRACE(::testing::Message() << pred->ToString() << " / "
+                                          << c.actions->plan << " / dop "
+                                          << dop);
+        exec::BucketAggrOptions options;
+        options.degree_of_parallelism = dop;
+        auto op = Unwrap(exec::BucketAggr::Make(table, pred, query.group_by,
+                                                query.aggs, c.smas,
+                                                *c.actions, options));
+        obs::QueryProfile profile;
+        QueryContext ctx;
+        ctx.set_profile(&profile);
+        op->BindContext(&ctx);
+        Unwrap(RunToCompletion(op.get(), &ctx));
+        ASSERT_EQ(profile.roots().size(), 1u);
+        const obs::OperatorProfile* node = profile.roots()[0];
+        EXPECT_EQ(node->pages_read(), c.pages);
+        EXPECT_NE(node->detail().find(std::string("plan=") + c.actions->plan),
+                  std::string::npos)
+            << node->detail();
+        EXPECT_NE(node->detail().find(util::Format("dop=%zu", dop)),
+                  std::string::npos)
+            << node->detail();
+      }
+    }
+  }
+}
+
+// A default-batch attempt that dies on its memory budget merges each
+// worker's partial census exactly once into the FAILED node, and the
+// small-batch rerun registers a fresh node whose census again equals
+// ground truth — no double counting across the ladder.
 TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
   Setup("pc2");
   query.pred = Unwrap(Predicate::AtomConst(
@@ -290,20 +350,23 @@ TEST_F(ProfileCensusTest, DegradedRerunCountsEachAttemptOnce) {
     SCOPED_TRACE(::testing::Message() << "dop " << dop);
     PlannerOptions options;
     options.degree_of_parallelism = dop;
-    ASSERT_GT(options.batch_size, 0u) << "rung 2 needs a vectorized plan";
+    ASSERT_GT(options.batch_size, plan::kLadderBatchSize)
+        << "rung 2 needs a batch size above the ladder's";
     Planner planner(smas.get(), options);
     obs::QueryProfile profile;
-    // Budget too small for a ColumnBatch, fine for row-mode group state.
+    // Budget too small for default-size column batches, fine for
+    // kLadderBatchSize ones.
     QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/6 * 1024);
     ctx.set_profile(&profile);
     const auto run = planner.Execute(query, &ctx);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
-    EXPECT_NE(run->plan.explanation.find("row mode"), std::string::npos)
+    EXPECT_NE(run->plan.explanation.find("retried at batch size"),
+              std::string::npos)
         << run->plan.explanation;
-    // The ladder left a demotion event in the profile.
+    // The ladder left a retry event in the profile.
     bool saw_event = false;
     for (const std::string& e : profile.events()) {
-      saw_event |= e.find("row mode") != std::string::npos;
+      saw_event |= e.find("retried at batch size") != std::string::npos;
     }
     EXPECT_TRUE(saw_event);
     // Exactly one failed attempt and one successful one, each with its own
@@ -791,9 +854,9 @@ TEST(DatabaseObsTest, SlowQueryThresholdLogsWarnWithProfile) {
   options.log = QuietLog();
   options.slow_query_ms = 1;  // everything beyond 1 ms is "slow"
   std::unique_ptr<db::Database> database(MakeDatabase(options));
-  // Row-mode, serial, over an inflated table: comfortably beyond 1 ms on
-  // any machine; repeat a few times in case the first run is unexpectedly
-  // fast anyway.
+  // One-row batches, serial, over an inflated table: comfortably beyond
+  // 1 ms on any machine; repeat a few times in case the first run is
+  // unexpectedly fast anyway.
   {
     storage::Table* table = Unwrap(database->GetTable("t"));
     storage::TupleBuffer t(&table->schema());
@@ -809,7 +872,7 @@ TEST(DatabaseObsTest, SlowQueryThresholdLogsWarnWithProfile) {
       ExpectOk(database->Insert("t", t));
     }
   }
-  ExpectOk(database->Execute("set batch_size = 0"));
+  ExpectOk(database->Execute("set batch_size = 1"));
   ExpectOk(database->Execute("set dop = 1"));
   bool saw = false;
   for (int i = 0; i < 50 && !saw; ++i) {

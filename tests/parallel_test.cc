@@ -4,10 +4,11 @@
 //                         propagation, shared-pool identity.
 //   * BufferPool        — many threads fetching/evicting through one pool
 //                         smaller than the working set.
-//   * DOP equivalence   — the property the refactor rests on: for random
-//                         predicates over a generated LINEITEM sample,
-//                         every plan produces identical rows and an
-//                         identical bucket census at DOP 1, 2, and 8.
+//   * DOP equivalence   — the property the morsel split rests on: for
+//                         random predicates over a generated LINEITEM
+//                         sample, every action table produces the
+//                         brute-force rows and an identical bucket census
+//                         at DOP 1, 2, 4 and 8.
 //   * Planner/Database  — per-plan DOP choice, `set dop = n`.
 
 #include <gtest/gtest.h>
@@ -18,8 +19,7 @@
 #include <vector>
 
 #include "db/database.h"
-#include "exec/parallel_aggr.h"
-#include "exec/sma_gaggr.h"
+#include "exec/bucket_aggr.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
 #include "tpch/loader.h"
@@ -29,8 +29,7 @@
 namespace smadb {
 namespace {
 
-using exec::ParallelScanAggr;
-using exec::SmaGAggr;
+using exec::BucketAggr;
 using exec::SmaScanStats;
 using expr::CmpOp;
 using expr::Predicate;
@@ -160,25 +159,6 @@ TEST(BufferPoolConcurrencyTest, RepeatedParallelReadsStayConsistent) {
 
 // ---------------------------------------------------- DOP equivalence ----
 
-std::vector<std::string> DrainSorted(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 bool SameCensus(const SmaScanStats& a, const SmaScanStats& b) {
   return a.qualifying_buckets == b.qualifying_buckets &&
          a.disqualifying_buckets == b.disqualifying_buckets &&
@@ -219,39 +199,34 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
         &fx.table->schema(), "l_shipdate", op,
         Value::MakeDate(util::Date(day))));
 
-    // SMA_GAggr at DOP 1 (the pre-refactor serial engine) is the reference.
-    exec::SmaGAggrOptions serial_opts;
-    auto reference = Unwrap(SmaGAggr::Make(fx.table, query.pred,
-                                           query.group_by, query.aggs,
-                                           fx.smas.get(), serial_opts));
-    const std::vector<std::string> want_rows = DrainSorted(reference.get());
-    const SmaScanStats want_census = reference->stats();
+    // References: brute-force rows and the serial grade walk's census.
+    const std::vector<std::string> want_rows = testing::ReferenceAggregate(
+        fx.table, *query.pred, query.group_by, query.aggs);
+    SmaScanStats want_census;
+    exec::BucketSource source(fx.table, query.pred, fx.smas.get());
+    exec::BucketUnit unit;
+    while (Unwrap(source.NextGraded(&unit))) want_census.Tally(unit.grade);
 
-    for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
-      exec::SmaGAggrOptions opts;
-      opts.degree_of_parallelism = dop;
-      auto gaggr = Unwrap(SmaGAggr::Make(fx.table, query.pred,
-                                         query.group_by, query.aggs,
-                                         fx.smas.get(), opts));
-      EXPECT_EQ(DrainSorted(gaggr.get()), want_rows)
-          << "SMA_GAggr trial " << trial << " dop " << dop;
-      EXPECT_TRUE(SameCensus(gaggr->stats(), want_census))
-          << "SMA_GAggr census trial " << trial << " dop " << dop;
-
-      auto scan_aggr = Unwrap(ParallelScanAggr::Make(
-          fx.table, query.pred, query.group_by, query.aggs, fx.smas.get(), dop));
-      EXPECT_EQ(DrainSorted(scan_aggr.get()), want_rows)
-          << "ParallelScanAggr trial " << trial << " dop " << dop;
-      EXPECT_TRUE(SameCensus(scan_aggr->stats(), want_census))
-          << "ParallelScanAggr census trial " << trial << " dop " << dop;
-
-      // Without SMAs: full parallel scan, same rows (census all-ambivalent).
-      auto full = Unwrap(ParallelScanAggr::Make(
-          fx.table, query.pred, query.group_by, query.aggs,
-          /*smas=*/nullptr, dop));
-      EXPECT_EQ(DrainSorted(full.get()), want_rows)
-          << "full-scan trial " << trial << " dop " << dop;
-      EXPECT_EQ(full->stats().ambivalent_buckets, fx.table->num_buckets());
+    for (size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      for (const exec::BucketActions* actions :
+           {&exec::kSmaGAggrActions, &exec::kSmaScanAggrActions,
+            &exec::kScanAggrActions}) {
+        SCOPED_TRACE(::testing::Message() << actions->plan << " trial "
+                                          << trial << " dop " << dop);
+        // The full scan is built without SMAs: every bucket ambivalent.
+        const bool scan = actions == &exec::kScanAggrActions;
+        exec::BucketAggrOptions options;
+        options.degree_of_parallelism = dop;
+        auto op = Unwrap(BucketAggr::Make(
+            fx.table, query.pred, query.group_by, query.aggs,
+            scan ? nullptr : fx.smas.get(), *actions, options));
+        EXPECT_EQ(testing::DrainRowStrings(op.get()), want_rows);
+        if (scan) {
+          EXPECT_EQ(op->stats().ambivalent_buckets, fx.table->num_buckets());
+        } else {
+          EXPECT_TRUE(SameCensus(op->stats(), want_census));
+        }
+      }
     }
   }
 }
@@ -260,17 +235,15 @@ TEST(DopEquivalenceTest, PlannerBuildMatchesAcrossKindsAndDop) {
   LineItemFixture fx;
   plan::Planner planner(fx.smas.get());
   plan::AggQuery query = Unwrap(workloads::MakeQ1Query(fx.table));
-
-  auto reference =
-      Unwrap(planner.Build(query, plan::PlanKind::kScanAggr, /*dop=*/1));
-  const std::vector<std::string> want = DrainSorted(reference.get());
+  const std::vector<std::string> want = testing::ReferenceAggregate(
+      fx.table, *query.pred, query.group_by, query.aggs);
 
   for (plan::PlanKind kind :
        {plan::PlanKind::kScanAggr, plan::PlanKind::kSmaScanAggr,
         plan::PlanKind::kSmaGAggr}) {
     for (size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
       auto op = Unwrap(planner.Build(query, kind, dop));
-      EXPECT_EQ(DrainSorted(op.get()), want)
+      EXPECT_EQ(testing::DrainRowStrings(op.get()), want)
           << plan::PlanKindToString(kind) << " dop " << dop;
     }
   }

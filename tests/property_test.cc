@@ -5,7 +5,8 @@
 //                           qualifying buckets contain only matches and
 //                           disqualifying buckets none.
 //   * scan equivalence    — SMA_Scan returns exactly TableScan's tuples.
-//   * aggregate equality  — SMA_GAggr equals GAggr bit-for-bit.
+//   * aggregate equality  — SMA_GAggr equals a brute-force aggregation
+//                           bit-for-bit, also under forced ambivalence.
 //   * maintenance         — maintained SMAs equal freshly rebuilt ones
 //                           under randomized mutation mixes.
 
@@ -14,8 +15,7 @@
 #include <map>
 #include <tuple>
 
-#include "exec/gaggr.h"
-#include "exec/sma_gaggr.h"
+#include "exec/bucket_aggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
 #include "sma/maintenance.h"
@@ -34,6 +34,7 @@ using testing::AddMinMaxSmas;
 using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
+using testing::ReferenceAggregate;
 using testing::TestDb;
 using testing::Unwrap;
 using util::Value;
@@ -71,21 +72,7 @@ std::string OpName(CmpOp op) {
 }
 
 std::vector<std::string> Drain(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return testing::DrainRowStrings(op);
 }
 
 // ------------------------------------------------- grade soundness sweep --
@@ -186,10 +173,10 @@ TEST_P(SmaGAggrEquivalenceP, MatchesGAggrExactly) {
   for (int32_t c : {-10, 60, 125, 300}) {
     const PredicatePtr pred = Unwrap(Predicate::AtomConst(
         &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
-    auto scan = std::make_unique<exec::TableScan>(t, pred);
-    auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3}, aggs));
-    auto smag = Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-    EXPECT_EQ(Drain(ref.get()), Drain(smag.get())) << "c=" << c;
+    auto smag = Unwrap(exec::BucketAggr::Make(t, pred, {3}, aggs, &smas,
+                                              exec::kSmaGAggrActions));
+    EXPECT_EQ(ReferenceAggregate(t, *pred, {3}, aggs), Drain(smag.get()))
+        << "c=" << c;
   }
 }
 
@@ -223,12 +210,12 @@ TEST_P(ForcedAmbivalenceP, DemotionNeverChangesResults) {
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(125))));
 
-  auto plain = Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas));
-  exec::SmaGAggrOptions options;
+  exec::BucketAggrOptions options;
   options.force_ambivalent_fraction = fraction;
-  auto forced =
-      Unwrap(exec::SmaGAggr::Make(t, pred, {3}, aggs, &smas, options));
-  EXPECT_EQ(Drain(plain.get()), Drain(forced.get()));
+  auto forced = Unwrap(exec::BucketAggr::Make(t, pred, {3}, aggs, &smas,
+                                              exec::kSmaGAggrActions,
+                                              options));
+  EXPECT_EQ(ReferenceAggregate(t, *pred, {3}, aggs), Drain(forced.get()));
   if (fraction == 1.0) {
     EXPECT_EQ(forced->stats().ambivalent_buckets, t->num_buckets());
   }

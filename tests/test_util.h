@@ -8,11 +8,16 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "exec/aggregate.h"
+#include "exec/operator.h"
 #include "expr/predicate.h"
 #include "sma/builder.h"
 #include "sma/grade.h"
@@ -217,6 +222,122 @@ inline void AddMinMaxSmas(storage::Table* table, sma::SmaSet* smas,
   ExpectOk(smas->Add(Unwrap(
       sma::BuildSma(table, sma::SmaSpec::Max(prefix + "max_" + col_name,
                                              col)))));
+}
+
+/// Runs `op` to completion and serializes every output row as
+/// "v|v|...|" (Value::ToString per column), in output order.
+inline std::vector<std::string> DrainRowStrings(exec::Operator* op) {
+  ExpectOk(op->Init());
+  std::vector<std::string> rows;
+  storage::TupleRef t;
+  while (true) {
+    auto has = op->Next(&t);
+    EXPECT_TRUE(has.ok()) << has.status().ToString();
+    if (!has.ok() || !*has) break;
+    std::string row;
+    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
+      row += t.GetValue(c).ToString();
+      row += '|';
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Brute-force reference for grouping aggregation, independent of the
+/// engine's group machinery (no GroupTable, GroupState or BatchAggregator):
+/// walks the buckets with Table::ForEachTupleInBucket, keeps the rows
+/// `pred` accepts, and folds them into plain int64 (cents) accumulators.
+/// `include` (optional) restricts the walk to some buckets — the degraded
+/// SMA-only answer covers qualifying buckets only. Returns rows in the
+/// DrainRowStrings format and in the engine's group order (key Values'
+/// ToString joined with '\x1f'); groups without a row do not appear.
+inline std::vector<std::string> ReferenceAggregate(
+    storage::Table* table, const expr::Predicate& pred,
+    const std::vector<size_t>& group_by,
+    const std::vector<exec::AggSpec>& aggs,
+    const std::function<bool(uint32_t)>& include = nullptr) {
+  struct Acc {
+    std::vector<util::Value> key;
+    int64_t count = 0;
+    std::vector<int64_t> sum, min, max;
+  };
+  std::map<std::string, Acc> groups;
+  for (uint32_t b = 0; b < table->num_buckets(); ++b) {
+    if (include != nullptr && !include(b)) continue;
+    ExpectOk(table->ForEachTupleInBucket(
+        b, [&](const storage::TupleRef& t, storage::Rid) {
+          if (!pred.Eval(t)) return;
+          std::string skey;
+          std::vector<util::Value> key;
+          for (size_t col : group_by) {
+            key.push_back(t.GetValue(col));
+            skey += key.back().ToString() + '\x1f';
+          }
+          Acc& acc = groups[skey];
+          if (acc.count == 0) {
+            acc.key = std::move(key);
+            acc.sum.assign(aggs.size(), 0);
+            acc.min.assign(aggs.size(), INT64_MAX);
+            acc.max.assign(aggs.size(), INT64_MIN);
+          }
+          ++acc.count;
+          for (size_t i = 0; i < aggs.size(); ++i) {
+            if (aggs[i].arg == nullptr) continue;
+            const int64_t x = aggs[i].arg->EvalInt(t);
+            acc.sum[i] += x;
+            acc.min[i] = std::min(acc.min[i], x);
+            acc.max[i] = std::max(acc.max[i], x);
+          }
+        }));
+  }
+  // An integral-family value of `type` from its raw int64 payload.
+  auto typed = [](util::TypeId type, int64_t v) {
+    switch (type) {
+      case util::TypeId::kInt32:
+        return util::Value::Int32(static_cast<int32_t>(v));
+      case util::TypeId::kDate:
+        return util::Value::MakeDate(util::Date(static_cast<int32_t>(v)));
+      case util::TypeId::kDecimal:
+        return util::Value::MakeDecimal(util::Decimal(v));
+      default:
+        return util::Value::Int64(v);
+    }
+  };
+  std::vector<std::string> rows;
+  for (const auto& [skey, acc] : groups) {
+    std::string row;
+    for (const util::Value& v : acc.key) row += v.ToString() + '|';
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      const exec::AggSpec& a = aggs[i];
+      util::Value out;
+      switch (a.kind) {
+        case exec::AggKind::kCount:
+          out = util::Value::Int64(acc.count);
+          break;
+        case exec::AggKind::kSum:
+          out = a.arg->type() == util::TypeId::kDecimal
+                    ? util::Value::MakeDecimal(util::Decimal(acc.sum[i]))
+                    : util::Value::Int64(acc.sum[i]);
+          break;
+        case exec::AggKind::kAvg: {
+          double sum = static_cast<double>(acc.sum[i]);
+          if (a.arg->type() == util::TypeId::kDecimal) sum /= 100.0;
+          out = util::Value::MakeDouble(sum / static_cast<double>(acc.count));
+          break;
+        }
+        case exec::AggKind::kMin:
+          out = typed(a.arg->type(), acc.min[i]);
+          break;
+        case exec::AggKind::kMax:
+          out = typed(a.arg->type(), acc.max[i]);
+          break;
+      }
+      row += out.ToString() + '|';
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 }  // namespace smadb::testing

@@ -4,11 +4,12 @@
 //     UnionWith merge.
 //   * EvalBatch ≡ Eval — every predicate shape agrees row-for-row with
 //     tuple-at-a-time evaluation, including AND/OR trees and string atoms.
-//   * NextBatch ≡ Next — every migrated operator (TableScan, SmaScan,
-//     Filter, the generic default adapter, RowAdapter) returns exactly the
+//   * NextBatch ≡ Next — every batch-producing operator (TableScan,
+//     SmaScan, Filter, the generic default adapter) returns exactly the
 //     row-path tuples across predicates × batch sizes × bucket sizes.
-//   * Aggregation equality — GAggr / SmaGAggr / ParallelScanAggr produce
-//     bit-identical results in row and batch mode across DOPs.
+//   * Aggregation equality — GAggr and BucketAggr under every action table
+//     equal a brute-force aggregation across batch sizes, DOPs, layouts,
+//     all five aggregates and 0/1/2-column group-bys.
 //   * Filter copying semantics — the yielded TupleRef stays valid until the
 //     next Next() (regression for the contract documented in filter.h).
 //   * Fault injection — the degradation ladder demotes correctly with the
@@ -18,11 +19,10 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "db/session.h"
+#include "exec/bucket_aggr.h"
 #include "exec/filter.h"
 #include "exec/gaggr.h"
-#include "exec/parallel_aggr.h"
-#include "exec/row_adapter.h"
-#include "exec/sma_gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/table_scan.h"
 #include "planner/planner.h"
@@ -52,21 +52,7 @@ using util::Value;
 
 // Serializes a full run through the row interface.
 std::vector<std::string> DrainRows(exec::Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  return testing::DrainRowStrings(op);
 }
 
 // Serializes a full run through the batch interface (full projection).
@@ -271,13 +257,6 @@ TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
           std::make_unique<exec::TableScan>(t, Predicate::True()), pred);
       EXPECT_EQ(DrainRows(&row_f), DrainBatches(&batch_f, batch_size));
     }
-    {
-      // RowAdapter inverts NextBatch back to rows.
-      exec::TableScan row_scan(t, pred);
-      exec::RowAdapter adapted(std::make_unique<exec::SmaScan>(t, pred, &smas),
-                               batch_size);
-      EXPECT_EQ(DrainRows(&row_scan), DrainRows(&adapted));
-    }
   }
 }
 
@@ -346,7 +325,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   EXPECT_EQ(row_no, expected.size());
 }
 
-// ------------------------------------------- aggregation row ≡ batch -----
+// ------------------------------------- aggregation ≡ brute force -------
 
 using AggrParam = std::tuple<size_t /*batch_size*/, size_t /*dop*/>;
 
@@ -355,63 +334,87 @@ class BatchAggrEquivalenceP : public ::testing::TestWithParam<AggrParam> {};
 TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
   const auto [batch_size, dop] = GetParam();
   TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 3000, Layout::kNoisy, 17);
-  sma::SmaSet smas(t);
-  AddMinMaxSmas(t, &smas, "d");
-  const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
-  const expr::ExprPtr v1 = Unwrap(expr::OnePlus(v));  // ArithExpr batch path
-  ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Sum("s", v, {3})))));
-  ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, sma::SmaSpec::Count("c", {3})))));
-  const std::vector<AggSpec> aggs = {
-      AggSpec::Sum(v, "sum_v"),  AggSpec::Count("cnt"),
-      AggSpec::Avg(v, "avg_v"),  AggSpec::Min(v, "min_v"),
-      AggSpec::Max(v, "max_v"),  AggSpec::Sum(v1, "sum_v1")};
-  const std::vector<AggSpec> sma_aggs = {AggSpec::Sum(v, "sum_v"),
-                                         AggSpec::Count("cnt")};
-  const PredicatePtr pred = Unwrap(Predicate::AtomConst(
-      &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(188))));
+  for (const Layout layout :
+       {Layout::kClustered, Layout::kNoisy, Layout::kRandom}) {
+    storage::Table* t = MakeSyntheticTable(
+        &db, 3000, layout, 17, 1,
+        "t" + std::to_string(static_cast<int>(layout)));
+    // Aggregate SMAs grouped by (grp, tag) refine every query grouping
+    // below, so SMA_GAggr binds for all of them.
+    sma::SmaSet smas(t);
+    AddMinMaxSmas(t, &smas, "d");
+    const expr::ExprPtr v = Unwrap(expr::Column(&t->schema(), "v"));
+    const expr::ExprPtr v1 = Unwrap(expr::OnePlus(v));  // ArithExpr kernel
+    for (const sma::SmaSpec& spec :
+         {sma::SmaSpec::Sum("s", v, {3, 4}), sma::SmaSpec::Count("c", {3, 4}),
+          sma::SmaSpec::Min("mn", v, {3, 4}),
+          sma::SmaSpec::Max("mx", v, {3, 4})}) {
+      ExpectOk(smas.Add(Unwrap(sma::BuildSma(t, spec))));
+    }
+    const std::vector<AggSpec> aggs = {
+        AggSpec::Sum(v, "sum_v"), AggSpec::Count("cnt"),
+        AggSpec::Avg(v, "avg_v"), AggSpec::Min(v, "min_v"),
+        AggSpec::Max(v, "max_v")};
+    std::vector<AggSpec> fetch_aggs = aggs;  // no SMA for sum(1 + v)
+    fetch_aggs.push_back(AggSpec::Sum(v1, "sum_v1"));
+    const PredicatePtr pred = Unwrap(Predicate::AtomConst(
+        &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(188))));
 
-  {
-    auto row_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-    auto batch_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::TableScan>(t, pred), {3}, aggs, batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    auto row_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs));
-    auto batch_op = Unwrap(exec::GAggr::Make(
-        std::make_unique<exec::SmaScan>(t, pred, &smas), {3}, aggs,
-        batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    // SmaGAggr: qualifying buckets come from SMA entries in both modes;
-    // only the ambivalent remainder is vectorized.
-    exec::SmaGAggrOptions row_opts;
-    row_opts.degree_of_parallelism = dop;
-    exec::SmaGAggrOptions batch_opts = row_opts;
-    batch_opts.batch_size = batch_size;
-    auto row_op = Unwrap(
-        exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, row_opts));
-    auto batch_op = Unwrap(
-        exec::SmaGAggr::Make(t, pred, {3}, sma_aggs, &smas, batch_opts));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
-  }
-  {
-    auto row_op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {3}, aggs,
-                                                      &smas, dop));
-    auto batch_op = Unwrap(exec::ParallelScanAggr::Make(t, pred, {3}, aggs,
-                                                        &smas, dop,
-                                                        batch_size));
-    EXPECT_EQ(DrainRows(row_op.get()), DrainRows(batch_op.get()));
+    // The degraded SMA-only answer covers exactly the qualifying buckets.
+    std::vector<bool> qualifying(t->num_buckets(), false);
+    exec::BucketSource source(t, pred, &smas);
+    exec::BucketUnit unit;
+    while (Unwrap(source.NextGraded(&unit))) {
+      qualifying[unit.bucket] = unit.grade == sma::Grade::kQualifies;
+    }
+    auto is_qualifying = [&](uint32_t b) -> bool { return qualifying[b]; };
+
+    for (const std::vector<size_t>& group_by :
+         {std::vector<size_t>{}, std::vector<size_t>{3},
+          std::vector<size_t>{3, 4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "layout " << static_cast<int>(layout)
+                   << " group_by size " << group_by.size());
+      const auto want = testing::ReferenceAggregate(t, *pred, group_by, aggs);
+      const auto want_fetch =
+          testing::ReferenceAggregate(t, *pred, group_by, fetch_aggs);
+      {
+        auto op = Unwrap(exec::GAggr::Make(
+            std::make_unique<exec::TableScan>(t, pred), group_by, fetch_aggs,
+            batch_size));
+        EXPECT_EQ(DrainRows(op.get()), want_fetch) << "GAggr(TableScan)";
+      }
+      {
+        auto op = Unwrap(exec::GAggr::Make(
+            std::make_unique<exec::SmaScan>(t, pred, &smas), group_by,
+            fetch_aggs, batch_size));
+        EXPECT_EQ(DrainRows(op.get()), want_fetch) << "GAggr(SmaScan)";
+      }
+      exec::BucketAggrOptions options;
+      options.batch_size = batch_size;
+      options.degree_of_parallelism = dop;
+      auto run = [&](const exec::BucketActions& actions,
+                     const sma::SmaSet* with,
+                     const std::vector<AggSpec>& with_aggs) {
+        auto op = Unwrap(exec::BucketAggr::Make(t, pred, group_by, with_aggs,
+                                                with, actions, options));
+        return DrainRows(op.get());
+      };
+      EXPECT_EQ(run(exec::kSmaGAggrActions, &smas, aggs), want);
+      EXPECT_EQ(run(exec::kSmaScanAggrActions, &smas, fetch_aggs),
+                want_fetch);
+      EXPECT_EQ(run(exec::kScanAggrActions, nullptr, fetch_aggs), want_fetch);
+      EXPECT_EQ(run(exec::kSmaOnlyActions, &smas, aggs),
+                testing::ReferenceAggregate(t, *pred, group_by, aggs,
+                                            is_qualifying));
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchAggrEquivalenceP,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{64}, size_t{1024}),
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{7}, size_t{64},
+                                         size_t{1024}),
                        ::testing::Values(size_t{1}, size_t{2}, size_t{4})),
     [](const ::testing::TestParamInfo<AggrParam>& info) {
       return "Bs" + std::to_string(std::get<0>(info.param)) + "Dop" +
@@ -477,27 +480,50 @@ TEST(DatabaseBatchSizeTest, SetBatchSizeStatementControlsSessionMode) {
       "select grp, count(*), sum(v) from t where d <= '1970-02-10' "
       "group by grp";
 
-  // Vectorized by default; the plan explanation says so.
+  // The default batch size shows in the plan explanation.
   EXPECT_EQ(database.batch_size(), exec::kDefaultBatchSize);
   const plan::QueryResult vectorized = Unwrap(database.Query(sql));
   EXPECT_NE(vectorized.plan.explanation.find("vectorized(batch=1024)"),
             std::string::npos)
       << vectorized.plan.explanation;
 
-  ExpectOk(database.Execute("set batch_size = 0"));
-  EXPECT_EQ(database.batch_size(), 0u);
-  const plan::QueryResult rowmode = Unwrap(database.Query(sql));
-  EXPECT_NE(rowmode.plan.explanation.find("row-mode"), std::string::npos)
-      << rowmode.plan.explanation;
-  EXPECT_EQ(vectorized.ToString(), rowmode.ToString());
-
   ExpectOk(database.Execute("set batch_size = 64"));
   EXPECT_EQ(database.batch_size(), 64u);
   const plan::QueryResult small = Unwrap(database.Query(sql));
+  EXPECT_NE(small.plan.explanation.find("vectorized(batch=64)"),
+            std::string::npos)
+      << small.plan.explanation;
   EXPECT_EQ(vectorized.ToString(), small.ToString());
 
+  // There is no row mode: 0 (and anything past the cap) is rejected,
+  // naming the valid range, at database and at session level.
+  for (const char* bad : {"set batch_size = 0", "set batch_size = 65537"}) {
+    const util::Status st = database.Execute(bad);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("[1, 65536]"), std::string::npos)
+        << st.ToString();
+    std::unique_ptr<db::Session> session = database.CreateSession();
+    const util::Status sst = session->Execute(bad);
+    EXPECT_EQ(sst.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(sst.message().find("[1, 65536]"), std::string::npos)
+        << sst.ToString();
+  }
+  EXPECT_EQ(database.batch_size(), 64u);
   EXPECT_FALSE(database.Execute("set batch_size = -5").ok());
   EXPECT_FALSE(database.Execute("set batch_size to 8").ok());
+
+  // The planner rejects an out-of-range batch size too.
+  plan::PlannerOptions zero;
+  zero.batch_size = 0;
+  plan::AggQuery query;
+  query.table = Unwrap(database.GetTable("t"));
+  query.pred = Predicate::True();
+  query.aggs = {AggSpec::Count("n")};
+  EXPECT_EQ(plan::Planner(nullptr, zero)
+                .Build(query, plan::PlanKind::kScanAggr)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------ faults in batch mode ---
@@ -534,11 +560,9 @@ struct VectorFaultTest : ::testing::Test {
 // scenario's typed error — never silently-wrong rows.
 TEST_F(VectorFaultTest, BatchedRunsReturnExactRowsOrTypedError) {
   Setup("vf");
-  plan::PlannerOptions row_options;
-  row_options.batch_size = 0;
-  plan::Planner row_planner(smas.get(), row_options);
+  plan::Planner ref_planner(smas.get());
   auto ref_op =
-      Unwrap(row_planner.Build(query, plan::PlanKind::kScanAggr, 1));
+      Unwrap(ref_planner.Build(query, plan::PlanKind::kScanAggr, 1));
   const std::string expected =
       Unwrap(plan::RunToCompletion(ref_op.get())).ToString();
 

@@ -89,13 +89,13 @@ fi
 note "cli probes OK"
 
 # ---- kill query cancels a long scan ----------------------------------------
-# The victim runs a serial row-mode scan over the whole table (seconds at
-# $ROWS rows); the killer polls `show queries` for its id and kills it.
+# The victim runs a serial one-row-batch scan over the whole table (seconds
+# at $ROWS rows); the killer polls `show queries` for its id and kills it.
 # The window is real scheduling, so retry the whole dance a few times —
 # but a kill that lands MUST produce a typed cancelled error.
 killed=
 for attempt in 1 2 3 4 5; do
-  sql "set batch_size = 0" \
+  sql "set batch_size = 1" \
       "set dop = 1" \
       "select region, sum(amount), count(*) from sales group by region" \
     > "$TMP/victim.out" 2>&1 &
