@@ -11,6 +11,7 @@
 #include "baseline/projection_index.h"
 #include "bench/bench_util.h"
 #include "exec/sma_scan.h"
+#include "planner/planner.h"
 #include "sma/builder.h"
 #include "tpch/loader.h"
 #include "tpch/schemas.h"
@@ -75,9 +76,7 @@ int main(int argc, char** argv) {
     uint64_t count_sma = 0;
     {
       exec::SmaScan scan(t, pred, &smas);
-      Check(scan.Init());
-      storage::TupleRef row;
-      while (Check(scan.Next(&row))) ++count_sma;
+      count_sma = Check(plan::RunToCompletion(&scan)).rows.size();
     }
     const double sma_s = db.ModeledSeconds(base);
 

@@ -7,8 +7,8 @@
 #include <cstdio>
 
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "expr/predicate.h"
+#include "planner/planner.h"
 #include "sma/builder.h"
 #include "sma/sma_set.h"
 #include "storage/catalog.h"
@@ -93,23 +93,18 @@ int main() {
   disk.ResetStats();
   uint64_t count_scan = 0;
   {
-    exec::TableScan scan(shipments, pred);
-    Check(scan.Init());
-    storage::TupleRef row;
-    while (Check(scan.Next(&row))) ++count_scan;
+    // Without SMAs every bucket grades ambivalent: a sequential scan.
+    exec::SmaScan scan(shipments, pred, nullptr);
+    count_scan = Check(plan::RunToCompletion(&scan)).rows.size();
   }
   Check(pool.DropAll());
   const uint64_t scan_reads = disk.stats().page_reads;
 
   // SMA scan.
   disk.ResetStats();
-  uint64_t count_sma = 0;
   exec::SmaScan sma_scan(shipments, pred, &smas);
-  Check(sma_scan.Init());
-  {
-    storage::TupleRef row;
-    while (Check(sma_scan.Next(&row))) ++count_sma;
-  }
+  const uint64_t count_sma =
+      Check(plan::RunToCompletion(&sma_scan)).rows.size();
   const uint64_t sma_reads = disk.stats().page_reads;
 
   std::printf("\nselect count(*) where shipdate in [%s, %s]\n",

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "planner/planner.h"
 #include "storage/catalog.h"
 #include "tpch/loader.h"
 #include "util/stopwatch.h"
@@ -28,23 +29,6 @@ template <typename T>
 T Check(util::Result<T> r) {
   Check(r.status());
   return std::move(r).value();
-}
-
-std::string DrainToText(exec::Operator* op, uint64_t* rows_out) {
-  Check(op->Init());
-  std::string out;
-  storage::TupleRef row;
-  uint64_t n = 0;
-  while (Check(op->Next(&row))) {
-    ++n;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      if (c > 0) out += " | ";
-      out += row.GetValue(c).ToString();
-    }
-    out += '\n';
-  }
-  *rows_out = n;
-  return out;
 }
 
 }  // namespace
@@ -93,8 +77,9 @@ int main(int argc, char** argv) {
   disk.ResetStats();
   util::Stopwatch w1;
   auto plain = Check(workloads::MakeQ3Plan(without_smas));
-  uint64_t rows_plain = 0;
-  const std::string result_plain = DrainToText(plain.get(), &rows_plain);
+  const plan::QueryResult plain_result =
+      Check(plan::RunToCompletion(plain.get()));
+  const std::string result_plain = plain_result.ToString();
   const double t_plain = w1.ElapsedSeconds();
   const uint64_t reads_plain = disk.stats().page_reads;
 
@@ -103,8 +88,8 @@ int main(int argc, char** argv) {
   disk.ResetStats();
   util::Stopwatch w2;
   auto pruned = Check(workloads::MakeQ3Plan(with_smas));
-  uint64_t rows_pruned = 0;
-  const std::string result_pruned = DrainToText(pruned.get(), &rows_pruned);
+  const std::string result_pruned =
+      Check(plan::RunToCompletion(pruned.get())).ToString();
   const double t_pruned = w2.ElapsedSeconds();
   const uint64_t reads_pruned = disk.stats().page_reads;
 
@@ -114,9 +99,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\nQ3 top-%llu (l_orderkey | o_orderdate | o_shippriority | "
-              "revenue):\n%s",
-              static_cast<unsigned long long>(rows_plain),
+  std::printf("\nQ3 top-%zu:\n%s", plain_result.rows.size(),
               result_plain.c_str());
   std::printf("\nplain scans : %.3fs, %llu page reads\n", t_plain,
               static_cast<unsigned long long>(reads_plain));

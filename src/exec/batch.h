@@ -1,10 +1,10 @@
 // exec::Batch: the unit of batch-at-a-time data flow (DESIGN.md §9).
 //
 // A Batch pairs a storage::ColumnBatch (decoded column vectors of up to
-// `capacity` tuples, never spanning buckets when produced by the scan
-// operators) with a storage::SelVector naming the rows that survived
-// predicate evaluation so far. The SMA grade verdict (§3.1) maps onto the
-// selection vector directly:
+// `capacity` tuples; a scan fills one across consecutive buckets of the
+// same grade, never mixing grades) with a storage::SelVector naming the
+// rows that survived predicate evaluation so far. The SMA grade verdict
+// (§3.1) maps onto the selection vector directly:
 //
 //   kQualifies    -> SelectAll, predicate never evaluated
 //   kDisqualifies -> bucket skipped, no batch produced

@@ -12,7 +12,6 @@ namespace smadb::exec {
 using sma::AggFunc;
 using sma::Grade;
 using sma::Sma;
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 using util::Value;
@@ -397,14 +396,6 @@ Status BucketAggr::InitImpl() {
   }
   // Phase 3 (average finalization) happens inside Emit/Finalize.
   return groups.Emit(&schema_, &results_);
-}
-
-Result<bool> BucketAggr::Next(TupleRef* out) {
-  if (next_ >= results_.size()) return false;
-  *out = results_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
 }
 
 }  // namespace smadb::exec

@@ -131,7 +131,9 @@ class BucketAggr final : public Operator {
   util::Status Init() override;
 
   /// "The next function then merely returns one result after another."
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return EmitRows(results_, &next_, out);
+  }
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);

@@ -4,28 +4,15 @@
 
 namespace smadb::exec {
 
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 
 BucketSource::BucketSource(storage::Table* table, expr::PredicatePtr pred,
                            const sma::SmaSet* smas)
-    : table_(table), pred_(std::move(pred)), smas_(smas) {
-  Reset();
-}
-
-void BucketSource::Reset() {
-  if (smas_ != nullptr) {
-    grader_ = sma::BucketGrader::Create(pred_, smas_);
-    has_sma_support_ = grader_->has_sma_support();
-  } else {
-    grader_.reset();
-    has_sma_support_ = false;
-  }
-  // A re-executed operator sees a fresh consistent prefix.
-  snapshot_ = table_->CaptureSnapshot();
-  serial_next_ = 0;
-}
+    : table_(table),
+      pred_(std::move(pred)),
+      smas_(smas),
+      snapshot_(table->CaptureSnapshot()) {}
 
 Result<sma::Grade> BucketSource::GradeLatched(sma::BucketGrader* grader,
                                               uint64_t bucket) const {
@@ -36,13 +23,6 @@ Result<sma::Grade> BucketSource::GradeLatched(sma::BucketGrader* grader,
   SMADB_ASSIGN_OR_RETURN(sma::Grade g, grader->GradeBucket(bucket));
   latch.Release();
   return ApplySnapshot(bucket, g);
-}
-
-Result<bool> BucketSource::NextGraded(BucketUnit* out) {
-  if (serial_next_ >= num_buckets()) return false;
-  out->bucket = serial_next_++;
-  SMADB_ASSIGN_OR_RETURN(out->grade, GradeLatched(grader_.get(), out->bucket));
-  return true;
 }
 
 Status BucketReader::Open(uint32_t first_page, uint32_t end_page) {
@@ -73,30 +53,6 @@ Status BucketReader::PinPage() {
   if (has_snapshot_) n = snapshot_.VisibleSlots(page_, n);
   page_count_ = n;
   return Status::OK();
-}
-
-Result<bool> BucketReader::Next(TupleRef* out) {
-  while (open_) {
-    if (slot_ >= page_count_) {
-      if (page_ + 1 >= page_end_) {
-        open_ = false;
-        Close();
-        break;
-      }
-      ++page_;
-      slot_ = 0;
-      SMADB_RETURN_NOT_OK(PinPage());
-      continue;
-    }
-    if (storage::Table::PageSlotDeleted(*guard_.page(), slot_)) {
-      ++slot_;
-      continue;
-    }
-    *out = table_->PageTuple(*guard_.page(), slot_);
-    ++slot_;
-    return true;
-  }
-  return false;
 }
 
 Result<bool> BucketReader::NextBatch(storage::ColumnBatch* cols) {

@@ -2,12 +2,12 @@
 //
 // Every SMA access path walks the same structure — the table's physically
 // consecutive buckets (§2.1), graded per predicate (§3.1), then read page
-// by page. This file centralizes that walk for TableScan, SmaScan and
-// BucketAggr. For parallel execution one bucket is one work unit: workers
-// claim bucket indices from ThreadPool::ParallelFor, each grading through
-// its own cursor-backed BucketGrader (graders hold page pins and are
-// therefore per-thread; the Sma structures they read are immutable and
-// shared).
+// by page. This file centralizes that walk for SmaScan, BucketAggr and
+// the planner's census. Every consumer grades through its own
+// cursor-backed BucketGrader (graders hold page pins and are therefore
+// per-thread; the Sma structures they read are immutable and shared). For
+// parallel execution one bucket is one work unit: workers claim bucket
+// indices from ThreadPool::ParallelFor.
 
 #ifndef SMADB_EXEC_BUCKET_SOURCE_H_
 #define SMADB_EXEC_BUCKET_SOURCE_H_
@@ -52,15 +52,9 @@ struct SmaScanStats {
   }
 };
 
-/// One graded work unit.
-struct BucketUnit {
-  uint64_t bucket = 0;
-  sma::Grade grade = sma::Grade::kAmbivalent;
-};
-
-/// Enumerates the buckets of a table for one predicate, grading each
-/// against the SMAs. Serial consumers pull `NextGraded` from one thread;
-/// parallel workers grade the buckets they claim with per-worker graders.
+/// The buckets of a table for one predicate, graded against the SMAs:
+/// consumers grade bucket indices in [0, num_buckets()) with a grader of
+/// their own (NewGrader) through GradeLatched.
 ///
 /// Construction captures a TableSnapshot: the walk covers exactly the
 /// buckets of that consistent append prefix, and the one bucket a
@@ -79,25 +73,15 @@ class BucketSource {
   const storage::TableSnapshot& snapshot() const { return snapshot_; }
   uint64_t num_buckets() const { return snapshot_.buckets; }
 
-  /// True when at least one predicate atom is backed by a SMA — otherwise
-  /// every bucket grades ambivalent and grading is pure overhead.
-  bool has_sma_support() const { return has_sma_support_; }
+  /// Captures a fresh snapshot (a re-executed operator sees a fresh
+  /// consistent prefix).
+  void Reset() { snapshot_ = table_->CaptureSnapshot(); }
 
-  /// Rewinds the serial cursor and captures a fresh snapshot.
-  void Reset();
-
-  // --- serial path (single consumer) ---------------------------------------
-
-  /// Produces the next bucket with its grade; false at the end.
-  util::Result<bool> NextGraded(BucketUnit* out);
-
-  // --- parallel path (any number of workers) -------------------------------
-
-  /// A fresh grading stream for one worker (cursors hold page pins, so a
+  /// A fresh grading stream for one consumer (cursors hold page pins, so a
   /// grader must not be shared across threads; creating one per worker from
   /// the shared immutable SMAs is safe and keeps per-worker access
-  /// amortized-sequential). Null when the source has no SMAs — callers
-  /// treat every bucket as ambivalent then.
+  /// amortized-sequential). Null when the source has no SMAs — every
+  /// bucket grades ambivalent then.
   std::unique_ptr<sma::BucketGrader> NewGrader() const {
     if (smas_ == nullptr) return nullptr;
     return sma::BucketGrader::Create(pred_, smas_);
@@ -114,8 +98,7 @@ class BucketSource {
 
   /// Grades `bucket` with `grader` (null = ambivalent) under the bucket's
   /// shared latch, then applies the snapshot demotion. The one grading
-  /// entry point every consumer — serial or worker — goes through, so all
-  /// censuses agree.
+  /// entry point every consumer goes through, so all censuses agree.
   util::Result<sma::Grade> GradeLatched(sma::BucketGrader* grader,
                                         uint64_t bucket) const;
 
@@ -123,14 +106,12 @@ class BucketSource {
   storage::Table* table_;
   expr::PredicatePtr pred_;
   const sma::SmaSet* smas_;
-  std::unique_ptr<sma::BucketGrader> grader_;  // serial path
   storage::TableSnapshot snapshot_;
-  bool has_sma_support_ = false;
-  uint64_t serial_next_ = 0;
 };
 
-/// Streams the live tuples of a consecutive page range, keeping the current
-/// page pinned — the page/slot walk shared by TableScan and SmaScan.
+/// Decodes the live tuples of a consecutive page range into column batches,
+/// keeping the current page pinned — the page walk shared by SmaScan,
+/// BucketAggr and SmaSemiJoin.
 ///
 /// The reader holds the shared latch of the bucket its current page belongs
 /// to (lock coupling: the old bucket's latch is released before the next
@@ -153,13 +134,9 @@ class BucketReader {
   /// opens one bucket at a time).
   util::Status Open(uint32_t first_page, uint32_t end_page);
 
-  /// Next live tuple of the range; false when exhausted. The view stays
-  /// valid until the following Next/Open/Close.
-  util::Result<bool> Next(storage::TupleRef* out);
-
-  /// Bulk form of Next: decodes live tuples column-at-a-time into `cols`
-  /// until the batch fills or the range is exhausted. Returns whether any
-  /// rows were appended. Do not interleave with Next() within one range.
+  /// Decodes live tuples column-at-a-time into `cols` until the batch
+  /// fills or the range is exhausted. Returns whether any rows were
+  /// appended.
   util::Result<bool> NextBatch(storage::ColumnBatch* cols);
 
   /// Drops the page pin and the bucket latch.

@@ -5,7 +5,6 @@
 
 namespace smadb::exec {
 
-using storage::TupleRef;
 using util::Result;
 using util::Status;
 
@@ -64,14 +63,6 @@ Status GAggr::Init() {
                                   batch_size_));
   }
   return Status::OK();
-}
-
-Result<bool> GAggr::Next(TupleRef* out) {
-  if (next_ >= results_.size()) return false;
-  *out = results_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
 }
 
 }  // namespace smadb::exec

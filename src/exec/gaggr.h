@@ -29,7 +29,9 @@ class GAggr final : public Operator {
   /// Pipeline breaker: consumes the entire child here.
   util::Status Init() override;
 
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override {
+    return EmitRows(results_, &next_, out);
+  }
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);

@@ -7,7 +7,6 @@ namespace smadb::exec {
 using expr::CmpOp;
 using storage::Field;
 using storage::Schema;
-using storage::TupleBuffer;
 using storage::TupleRef;
 using util::Result;
 using util::Status;
@@ -54,65 +53,77 @@ Status HashJoin::Init() {
   obs::OpTimer timer(prof_);
   build_rows_.clear();
   build_index_.clear();
+  left_batch_ = Batch();  // configured by the first NextBatch
+  left_k_ = 0;
   matches_ = nullptr;
   match_pos_ = 0;
 
   SMADB_RETURN_NOT_OK(right_->Init());
-  const Schema& rs = right_->output_schema();
-  TupleRef t;
-  size_t rows_since_check = 0;
-  while (true) {
-    // The build side materializes in memory — checkpoint + charge it
-    // against the budget at kRowsPerCheck granularity.
-    if (++rows_since_check >= kRowsPerCheck) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(CheckRuntime("HashJoin"));
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(kRowsPerCheck * rs.tuple_size(), "HashJoin"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, right_->Next(&t));
-    if (!has) break;
-    TupleBuffer row(&rs);
-    for (size_t c = 0; c < rs.num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
-    }
-    build_index_[t.GetRawInt(right_col_)].push_back(build_rows_.size());
-    build_rows_.push_back(std::move(row));
+  // The build side materializes in memory, checkpointed and charged
+  // against the budget batch by batch.
+  SMADB_RETURN_NOT_OK(MaterializeChild(right_.get(), "HashJoin", &build_rows_));
+  for (size_t i = 0; i < build_rows_.size(); ++i) {
+    build_index_[build_rows_[i].AsRef().GetRawInt(right_col_)].push_back(i);
   }
   if (prof_ != nullptr) {
-    prof_->NotePeakBytes(build_rows_.size() * rs.tuple_size());
+    prof_->NotePeakBytes(build_rows_.size() *
+                         right_->output_schema().tuple_size());
     prof_->SetDetail(util::Format("build_rows=%zu", build_rows_.size()));
   }
   return left_->Init();
 }
 
-void HashJoin::EmitCombined(const TupleRef& left_tuple, size_t right_idx) {
-  const Schema& ls = left_->output_schema();
-  const Schema& rs = right_->output_schema();
+void HashJoin::EmitCombined(size_t right_idx, Batch* out) {
+  const size_t left_fields = left_->output_schema().num_fields();
   const TupleRef right_tuple = build_rows_[right_idx].AsRef();
-  for (size_t c = 0; c < ls.num_fields(); ++c) {
-    out_buffer_.SetValue(c, left_tuple.GetValue(c));
+  for (size_t c = 0; c < schema_.num_fields(); ++c) {
+    if (!out->cols.decoded(c)) continue;
+    out_buffer_.SetValue(c, c < left_fields
+                                ? left_batch_.cols.GetValue(c, left_row_)
+                                : right_tuple.GetValue(c - left_fields));
   }
-  for (size_t c = 0; c < rs.num_fields(); ++c) {
-    out_buffer_.SetValue(ls.num_fields() + c, right_tuple.GetValue(c));
-  }
+  out->cols.AppendRow(out_buffer_.AsRef());
 }
 
-Result<bool> HashJoin::Next(TupleRef* out) {
-  while (true) {
+Result<bool> HashJoin::NextBatch(Batch* out) {
+  obs::OpTimer timer(prof_);
+  if (!left_batch_.configured()) {
+    // Decode the left columns the consumer reads, the key, and whatever
+    // the left child reads itself.
+    const std::vector<bool>& want = out->cols.projection();
+    const auto left_fields =
+        static_cast<ptrdiff_t>(left_->output_schema().num_fields());
+    std::vector<bool> mask(want.begin(), want.begin() + left_fields);
+    mask[left_col_] = true;
+    left_->AddRequiredBatchColumns(&mask);
+    left_batch_.Configure(&left_->output_schema(), out->capacity(),
+                          std::move(mask));
+  }
+  out->Clear();
+  while (!out->cols.full()) {
     if (matches_ != nullptr && match_pos_ < matches_->size()) {
-      EmitCombined(current_left_, (*matches_)[match_pos_]);
-      ++match_pos_;
-      *out = out_buffer_.AsRef();
-      if (prof_ != nullptr) prof_->AddRows(1);
-      return true;
+      EmitCombined((*matches_)[match_pos_++], out);
+      continue;
     }
-    SMADB_ASSIGN_OR_RETURN(bool has, left_->Next(&current_left_));
-    if (!has) return false;
-    auto it = build_index_.find(current_left_.GetRawInt(left_col_));
+    if (left_k_ >= left_batch_.sel.count()) {
+      SMADB_RETURN_NOT_OK(CheckRuntime("HashJoin"));
+      SMADB_ASSIGN_OR_RETURN(bool has, left_->NextBatch(&left_batch_));
+      if (!has) break;
+      left_k_ = 0;
+      continue;
+    }
+    left_row_ = left_batch_.sel.row(left_k_++);
+    auto it = build_index_.find(left_batch_.cols.Ints(left_col_)[left_row_]);
     matches_ = it == build_index_.end() ? nullptr : &it->second;
     match_pos_ = 0;
   }
+  out->SelectAll();
+  if (out->num_rows() == 0) return false;
+  if (prof_ != nullptr) {
+    prof_->AddBatches(1);
+    prof_->AddRows(out->num_rows());
+  }
+  return true;
 }
 
 Result<std::unique_ptr<SmaSemiJoin>> SmaSemiJoin::Make(
@@ -130,6 +141,7 @@ Result<std::unique_ptr<SmaSemiJoin>> SmaSemiJoin::Make(
 }
 
 Status SmaSemiJoin::Init() {
+  obs::OpTimer timer(prof_);
   curr_bucket_ = -1;
   done_ = false;
   buckets_pruned_ = 0;
@@ -143,28 +155,12 @@ Status SmaSemiJoin::Init() {
   // Minimax of S.B — over the s_pred-filtered tuples when a filter is set
   // (the unfiltered shortcut via S's SMAs would be unsound for all_match).
   std::optional<int64_t> s_min, s_max;
-  const bool need_values = op_ == CmpOp::kEq || op_ == CmpOp::kNe;
-  if (s_pred_ == nullptr && !need_values) {
+  if (s_pred_ == nullptr && op_ != CmpOp::kEq && op_ != CmpOp::kNe) {
     SMADB_ASSIGN_OR_RETURN(auto range, sma::ColumnMinMax(s_, s_col_, s_smas_));
     s_min = range.first;
     s_max = range.second;
   } else {
-    // One snapshot-clamped latched pass over S (concurrent appends past the
-    // snapshot stay invisible; the reader's latch excludes page writers).
-    const storage::TableSnapshot s_snap = s_->CaptureSnapshot();
-    BucketReader s_reader(s_);
-    s_reader.set_snapshot(s_snap);
-    SMADB_RETURN_NOT_OK(s_reader.Open(0, s_snap.pages));
-    TupleRef t;
-    while (true) {
-      SMADB_ASSIGN_OR_RETURN(bool has, s_reader.Next(&t));
-      if (!has) break;
-      if (s_pred_ != nullptr && !s_pred_->Eval(t)) continue;
-      const int64_t v = t.GetRawInt(s_col_);
-      s_min = s_min.has_value() ? std::min(*s_min, v) : v;
-      s_max = s_max.has_value() ? std::max(*s_max, v) : v;
-      if (need_values) s_values_.insert(v);
-    }
+    SMADB_RETURN_NOT_OK(ScanS(&s_min, &s_max));
   }
 
   if (r_smas_ != nullptr) {
@@ -188,6 +184,50 @@ Status SmaSemiJoin::Init() {
     r_grader_ = nullptr;
   }
   return NextBucket();
+}
+
+Status SmaSemiJoin::ScanS(std::optional<int64_t>* s_min,
+                          std::optional<int64_t>* s_max) {
+  // One snapshot-clamped latched pass over S (concurrent appends past the
+  // snapshot stay invisible; the reader's latch excludes page writers).
+  const storage::TableSnapshot s_snap = s_->CaptureSnapshot();
+  BucketReader s_reader(s_);
+  s_reader.set_snapshot(s_snap);
+  SMADB_RETURN_NOT_OK(s_reader.Open(0, s_snap.pages));
+  std::vector<bool> mask(s_->schema().num_fields(), false);
+  mask[s_col_] = true;
+  if (s_pred_ != nullptr) s_pred_->AddReferencedColumns(&mask);
+  Batch batch;
+  batch.Configure(&s_->schema(), kDefaultBatchSize, std::move(mask));
+  SMADB_RETURN_NOT_OK(ChargeMemory(batch.cols.ApproxBytes(), "ColumnBatch"));
+  const bool need_values = op_ == CmpOp::kEq || op_ == CmpOp::kNe;
+  size_t charged = 0;  // value-set bytes already charged
+  while (true) {
+    SMADB_RETURN_NOT_OK(CheckRuntime("SmaSemiJoin"));
+    batch.Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has, s_reader.NextBatch(&batch.cols));
+    if (!has) break;
+    batch.SelectAll();
+    if (s_pred_ != nullptr) s_pred_->EvalBatch(batch.cols, &batch.sel);
+    const int64_t* values = batch.cols.Ints(s_col_);
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      const int64_t v = values[batch.sel.row(k)];
+      *s_min = s_min->has_value() ? std::min(**s_min, v) : v;
+      *s_max = s_max->has_value() ? std::max(**s_max, v) : v;
+      if (need_values) s_values_.insert(v);
+    }
+    // The value set is this operator's materialized state: charge its
+    // growth (nodes of value + next pointer + allocator header, plus the
+    // bucket array).
+    const size_t bytes = s_values_.size() * (sizeof(int64_t) + 16) +
+                         s_values_.bucket_count() * sizeof(void*);
+    if (bytes > charged) {
+      SMADB_RETURN_NOT_OK(ChargeMemory(bytes - charged, "SmaSemiJoin"));
+      charged = bytes;
+    }
+  }
+  if (prof_ != nullptr) prof_->AddPagesRead(s_reader.pages_opened());
+  return Status::OK();
 }
 
 bool SmaSemiJoin::Matches(int64_t a) const {
@@ -251,20 +291,36 @@ Status SmaSemiJoin::NextBucket() {
   return r_reader_.Open(first, end);
 }
 
-Result<bool> SmaSemiJoin::Next(TupleRef* out) {
+Result<bool> SmaSemiJoin::NextBatch(Batch* out) {
+  obs::OpTimer timer(prof_);
   while (!done_) {
-    TupleRef t;
-    SMADB_ASSIGN_OR_RETURN(bool has, r_reader_.Next(&t));
+    out->Clear();
+    SMADB_ASSIGN_OR_RETURN(bool has, r_reader_.NextBatch(&out->cols));
     if (!has) {
       SMADB_RETURN_NOT_OK(NextBucket());
       continue;
     }
-    const bool r_ok = curr_r_grade_ == sma::Grade::kQualifies ||
-                      r_pred_ == nullptr || r_pred_->Eval(t);
-    if (r_ok && (curr_all_match_ || Matches(t.GetRawInt(r_col_)))) {
-      *out = t;
-      return true;
+    out->SelectAll();
+    if (curr_r_grade_ != sma::Grade::kQualifies) {
+      r_pred_->EvalBatch(out->cols, &out->sel);
     }
+    if (!curr_all_match_) {
+      const int64_t* a = out->cols.Ints(r_col_);
+      out->sel.Filter([&](uint32_t r) { return Matches(a[r]); });
+    }
+    if (prof_ != nullptr) {
+      prof_->AddBatches(1);
+      prof_->AddRows(out->sel.count());
+    }
+    return true;
+  }
+  if (prof_ != nullptr) {
+    prof_->AddPagesRead(r_reader_.pages_opened() - pages_fed_);
+    pages_fed_ = r_reader_.pages_opened();
+    prof_->SetDetail(util::Format(
+        "pruned=%llu unprobed=%llu",
+        static_cast<unsigned long long>(buckets_pruned_),
+        static_cast<unsigned long long>(buckets_unprobed_)));
   }
   return false;
 }

@@ -1,18 +1,24 @@
 // Join operators.
 //
 // HashJoin — classic equi hash join (build right, probe left) over integral
-// keys, used by the multi-table TPC-D workloads.
+// keys, used by the multi-table TPC-D workloads. The build side is
+// materialized from the right child's batches; each left batch's selected
+// rows are probed in order and the joined rows copied into the caller's
+// batch.
 //
 // SmaSemiJoin — the executor realization of §4's semi-join SMAs: for
 //   select R.* from R, S where R.A θ S.B
 // it first grades R's buckets against the minimax of S.B (sma::
 // ReduceSemiJoin), skips disqualified buckets entirely, streams
-// proven-all-match buckets without probing, and probes only the rest.
+// proven-all-match buckets without probing, and probes only the rest —
+// one batch per candidate bucket, with the R predicate and the probe both
+// refining the batch's selection vector.
 
 #ifndef SMADB_EXEC_JOIN_H_
 #define SMADB_EXEC_JOIN_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -39,7 +45,10 @@ class HashJoin final : public Operator {
   const storage::Schema& output_schema() const override { return schema_; }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
+
+  /// Emits every match of a left row (in build order) before probing the
+  /// next selected left row — the order of a tuple-at-a-time probe.
+  util::Result<bool> NextBatch(Batch* out) override;
 
   void BindContext(util::QueryContext* ctx) override {
     Operator::BindContext(ctx);
@@ -59,7 +68,9 @@ class HashJoin final : public Operator {
         schema_(std::move(schema)),
         out_buffer_(&schema_) {}
 
-  void EmitCombined(const storage::TupleRef& left_tuple, size_t right_idx);
+  /// Appends the current left row joined with build row `right_idx`,
+  /// setting only the columns `out` decodes.
+  void EmitCombined(size_t right_idx, Batch* out);
 
   std::unique_ptr<Operator> left_;
   size_t left_col_;
@@ -71,8 +82,12 @@ class HashJoin final : public Operator {
   std::vector<storage::TupleBuffer> build_rows_;
   std::unordered_map<int64_t, std::vector<size_t>> build_index_;
 
-  // Probe state.
-  storage::TupleRef current_left_;
+  // Probe state: the current left batch (decoding only the left columns
+  // the consumer reads, plus the key), the position of the next selected
+  // row in it, and the matches of the row being probed.
+  Batch left_batch_;
+  size_t left_k_ = 0;
+  uint32_t left_row_ = 0;
   const std::vector<size_t>* matches_ = nullptr;
   size_t match_pos_ = 0;
   storage::TupleBuffer out_buffer_;
@@ -101,7 +116,17 @@ class SmaSemiJoin final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
+  util::Result<bool> NextBatch(Batch* out) override;
+
+  void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
+    (*mask)[r_col_] = true;
+    if (r_pred_ != nullptr) r_pred_->AddReferencedColumns(mask);
+  }
+
+  void BindContext(util::QueryContext* ctx) override {
+    Operator::BindContext(ctx);
+    BindProfile("SmaSemiJoin");
+  }
 
   /// Buckets skipped by the reduction (the §4 payoff).
   uint64_t buckets_pruned() const { return buckets_pruned_; }
@@ -125,6 +150,11 @@ class SmaSemiJoin final : public Operator {
 
   /// Does value `a` join with some S tuple?
   bool Matches(int64_t a) const;
+
+  /// One pass over S (restricted by s_pred) for its join-value range and,
+  /// for = / !=, its value set.
+  util::Status ScanS(std::optional<int64_t>* s_min,
+                     std::optional<int64_t>* s_max);
 
   /// Advances to the first page of the next candidate bucket.
   util::Status NextBucket();
@@ -152,6 +182,7 @@ class SmaSemiJoin final : public Operator {
   BucketReader r_reader_;
   storage::TableSnapshot r_snap_;
   bool done_ = false;
+  uint64_t pages_fed_ = 0;  // R pages already fed to the profile
   uint64_t buckets_pruned_ = 0;
   uint64_t buckets_unprobed_ = 0;
 };

@@ -1,9 +1,10 @@
 // Physical-algebra operator interface: the iterator concept of Graefe [7]
-// the paper's SMA_Scan / SMA_GAggr plug into (Init / Next / implicit close
-// via destructor), extended with a batch-at-a-time protocol (NextBatch).
-// Aggregation is batch-only (BucketAggr over base tables, GAggr over other
-// children pulling NextBatch); results leave through Next — see DESIGN.md
-// §9.
+// the paper's SMA_Scan / SMA_GAggr plug into (Init / NextBatch / implicit
+// close via destructor), pulled one column batch at a time. Every operator
+// produces batches natively: scans decode buckets column-at-a-time and map
+// bucket grades onto selection vectors; pipeline breakers (Sort, GAggr,
+// BucketAggr) and HashJoin copy their materialized rows into the caller's
+// batch. See DESIGN.md §9.
 
 #ifndef SMADB_EXEC_OPERATOR_H_
 #define SMADB_EXEC_OPERATOR_H_
@@ -19,47 +20,25 @@
 
 namespace smadb::exec {
 
-/// Pull-based physical operator. Row usage:
-///   op.Init();  while (op.Next(&t) yields true) consume(t);
-/// Batch usage:
+/// Pull-based physical operator:
 ///   batch.Configure(&op.output_schema(), n, projection);
 ///   op.Init();  while (op.NextBatch(&batch) yields true) consume(batch);
-/// Do not interleave Next and NextBatch on one instance between Init calls.
 class Operator {
  public:
   virtual ~Operator() = default;
 
-  /// Schema of the tuples Next() produces.
+  /// Schema of the rows NextBatch() produces.
   virtual const storage::Schema& output_schema() const = 0;
 
   /// Prepares the operator; pipeline breakers do their work here.
   virtual util::Status Init() = 0;
-
-  /// Produces the next tuple into `*out`. The view stays valid until the
-  /// following Next()/destruction. Returns false at end of stream.
-  virtual util::Result<bool> Next(storage::TupleRef* out) = 0;
 
   /// Produces the next batch into `*out` (pre-Configured by the caller
   /// against output_schema()). Returns false at end of stream; true means
   /// rows were decoded — the selection may still be empty, in which case
   /// the consumer skips the batch and pulls again. Batch contents stay
   /// valid until the following NextBatch()/Init().
-  ///
-  /// The default adapter loops Next(), so every operator is batch-capable;
-  /// operators with native batch paths (TableScan, SmaScan, Filter)
-  /// override it to decode column-at-a-time and drive the predicate through
-  /// selection vectors.
-  virtual util::Result<bool> NextBatch(Batch* out) {
-    out->Clear();
-    storage::TupleRef t;
-    while (!out->cols.full()) {
-      SMADB_ASSIGN_OR_RETURN(bool has, Next(&t));
-      if (!has) break;
-      out->cols.AppendRow(t);
-    }
-    out->SelectAll();
-    return out->num_rows() > 0;
-  }
+  virtual util::Result<bool> NextBatch(Batch* out) = 0;
 
   /// Sets `mask[c]` for every column of output_schema() this operator reads
   /// while producing batches (e.g. a scan's predicate columns). Consumers
@@ -99,10 +78,45 @@ class Operator {
     return util::QueryContext::Charge(ctx_, bytes, component);
   }
 
-  /// Rows between checkpoints in row operators (TableScan::Next, Sort,
-  /// HashJoin): roughly one page's worth, so they observe cancellation as
-  /// fast as the bucket/batch checkpoints of the aggregates.
-  static constexpr size_t kRowsPerCheck = 512;
+  /// The input path of the materializing operators (Sort, the HashJoin
+  /// build side): drains the Init()ed `child` into full-width `rows`,
+  /// checking the governor per batch and charging each batch's rows to
+  /// `component`.
+  util::Status MaterializeChild(Operator* child, std::string_view component,
+                                std::vector<storage::TupleBuffer>* rows) const {
+    const storage::Schema& schema = child->output_schema();
+    Batch batch;
+    batch.Configure(&schema, kDefaultBatchSize);
+    while (true) {
+      SMADB_RETURN_NOT_OK(CheckRuntime(component));
+      SMADB_ASSIGN_OR_RETURN(bool has, child->NextBatch(&batch));
+      if (!has) return util::Status::OK();
+      SMADB_RETURN_NOT_OK(
+          ChargeMemory(batch.sel.count() * schema.tuple_size(), component));
+      for (size_t k = 0; k < batch.sel.count(); ++k) {
+        rows->emplace_back(&schema);
+        batch.cols.MaterializeRow(batch.sel.row(k), &rows->back());
+      }
+    }
+  }
+
+  /// The emit path of the materializing operators: copies `rows` from
+  /// `*next` on into `out` until it fills, all selected, advancing `*next`.
+  /// Returns false once every row has been emitted.
+  bool EmitRows(const std::vector<storage::TupleBuffer>& rows, size_t* next,
+                Batch* out) const {
+    out->Clear();
+    while (*next < rows.size() && !out->cols.full()) {
+      out->cols.AppendRow(rows[(*next)++].AsRef());
+    }
+    out->SelectAll();
+    if (out->num_rows() == 0) return false;
+    if (prof_ != nullptr) {
+      prof_->AddBatches(1);
+      prof_->AddRows(out->num_rows());
+    }
+    return true;
+  }
 
   util::QueryContext* ctx_ = nullptr;
   /// This operator's profile node; null unless the query runs under

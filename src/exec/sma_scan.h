@@ -1,13 +1,18 @@
 // SMA_Scan (paper §3.2, Fig. 6): a selection scan that uses SMAs to skip
 // disqualifying buckets entirely, return qualifying buckets' tuples without
 // per-tuple predicate evaluation, and fall back to predicate evaluation
-// only inside ambivalent buckets.
+// only inside ambivalent buckets. Without SMAs every bucket grades
+// ambivalent, which makes it the plain sequential scan — the paper's
+// baseline ("a sequential scan is the only possibility to 'efficiently'
+// evaluate this query").
 //
-// The bucket walk itself (grading, page range, slot iteration) lives in
-// exec/bucket_source.h, shared with TableScan and the parallel aggregates.
+// The bucket walk itself (grading, page range, page decode) lives in
+// exec/bucket_source.h, shared with BucketAggr.
 
 #ifndef SMADB_EXEC_SMA_SCAN_H_
 #define SMADB_EXEC_SMA_SCAN_H_
+
+#include <memory>
 
 #include "exec/bucket_source.h"
 #include "exec/operator.h"
@@ -19,8 +24,9 @@ namespace smadb::exec {
 
 class SmaScan final : public Operator {
  public:
-  /// `smas` supplies the selection SMAs; atoms without SMA support simply
-  /// grade ambivalent (still correct, just slower).
+  /// `smas` supplies the selection SMAs; null, or atoms without SMA
+  /// support, grade ambivalent (still correct, just slower). Pass
+  /// Predicate::True() to return every tuple.
   SmaScan(storage::Table* table, expr::PredicatePtr pred,
           const sma::SmaSet* smas)
       : source_(table, std::move(pred), smas), reader_(table) {}
@@ -30,12 +36,12 @@ class SmaScan final : public Operator {
   }
 
   util::Status Init() override;
-  util::Result<bool> Next(storage::TupleRef* out) override;
 
-  /// Native batch path. Batches never span buckets, so the bucket's grade
-  /// maps straight onto the selection vector: qualifying buckets keep the
-  /// full (dense) selection without evaluating the predicate at all;
-  /// ambivalent buckets get one vectorized EvalBatch pass.
+  /// A batch keeps filling across consecutive buckets of the same grade
+  /// and never mixes grades, so the grade maps straight onto the selection
+  /// vector: qualifying buckets keep the full (dense) selection without
+  /// evaluating the predicate at all; ambivalent buckets get one
+  /// vectorized EvalBatch pass.
   util::Result<bool> NextBatch(Batch* out) override;
 
   void AddRequiredBatchColumns(std::vector<bool>* mask) const override {
@@ -62,7 +68,9 @@ class SmaScan final : public Operator {
   util::Status GetBucket();
 
   BucketSource source_;
+  std::unique_ptr<sma::BucketGrader> grader_;  // null: all ambivalent
   BucketReader reader_;
+  uint64_t next_bucket_ = 0;
   sma::Grade curr_grade_ = sma::Grade::kAmbivalent;
   bool done_ = false;
   SmaScanStats stats_;

@@ -33,25 +33,9 @@ Status Sort::Init() {
   next_ = 0;
   SMADB_RETURN_NOT_OK(child_->Init());
   const storage::Schema& schema = child_->output_schema();
-  TupleRef t;
-  size_t rows_since_check = 0;
-  while (true) {
-    // The sort buffer materializes the whole input — check the governor
-    // and charge the buffered rows against the budget every kRowsPerCheck.
-    if (++rows_since_check >= kRowsPerCheck) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(CheckRuntime("Sort"));
-      SMADB_RETURN_NOT_OK(
-          ChargeMemory(kRowsPerCheck * schema.tuple_size(), "Sort"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, child_->Next(&t));
-    if (!has) break;
-    TupleBuffer row(&schema);
-    for (size_t c = 0; c < schema.num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
-    }
-    rows_.push_back(std::move(row));
-  }
+  // The sort buffer materializes the whole input — check the governor and
+  // charge every batch's buffered rows against the budget.
+  SMADB_RETURN_NOT_OK(MaterializeChild(child_.get(), "Sort", &rows_));
   std::stable_sort(
       rows_.begin(), rows_.end(),
       [&](const TupleBuffer& a, const TupleBuffer& b) {
@@ -75,14 +59,6 @@ Status Sort::Init() {
     prof_->SetDetail(util::Format("buffered=%zu limit=%zu", buffered, limit_));
   }
   return Status::OK();
-}
-
-Result<bool> Sort::Next(TupleRef* out) {
-  if (next_ >= rows_.size()) return false;
-  *out = rows_[next_].AsRef();
-  ++next_;
-  if (prof_ != nullptr) prof_->AddRows(1);
-  return true;
 }
 
 }  // namespace smadb::exec

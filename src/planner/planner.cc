@@ -10,7 +10,6 @@ namespace smadb::plan {
 using exec::BucketAggr;
 using exec::Operator;
 using exec::SmaScan;
-using exec::TableScan;
 using sma::Grade;
 using storage::TupleBuffer;
 using storage::TupleRef;
@@ -85,19 +84,18 @@ std::string QueryResult::ToString() const {
 Status Planner::Census(storage::Table* table, const expr::PredicatePtr& pred,
                        PlanChoice* choice,
                        const util::QueryContext* ctx) const {
-  exec::BucketSource source(table, pred, smas_);
-  if (!source.has_sma_support()) {
+  const exec::BucketSource source(table, pred, smas_);
+  const std::unique_ptr<sma::BucketGrader> grader = source.NewGrader();
+  if (grader == nullptr || !grader->has_sma_support()) {
     // No SMA grades anything; report everything ambivalent without reading.
     choice->ambivalent = table->num_buckets();
     return Status::OK();
   }
   exec::SmaScanStats stats;
-  exec::BucketUnit unit;
-  while (true) {
+  for (uint64_t b = 0; b < source.num_buckets(); ++b) {
     SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "Census"));
-    SMADB_ASSIGN_OR_RETURN(bool has, source.NextGraded(&unit));
-    if (!has) break;
-    stats.Tally(unit.grade);
+    SMADB_ASSIGN_OR_RETURN(Grade g, source.GradeLatched(grader.get(), b));
+    stats.Tally(g);
   }
   choice->qualifying = stats.qualifying_buckets;
   choice->disqualifying = stats.disqualifying_buckets;
@@ -147,34 +145,47 @@ size_t Planner::PlanDop(uint64_t fetch_buckets) const {
       std::min<uint64_t>(static_cast<uint64_t>(requested), cap));
 }
 
-Result<PlanChoice> Planner::Choose(const AggQuery& query,
-                                   const util::QueryContext* ctx) const {
-  PlanChoice choice;
+Result<bool> Planner::CensusOrScan(storage::Table* table,
+                                   const expr::PredicatePtr& pred, bool select,
+                                   const util::QueryContext* ctx,
+                                   PlanChoice* choice) const {
   if (smas_ == nullptr || smas_->size() == 0) {
-    choice.kind = PlanKind::kScanAggr;
-    choice.ambivalent = query.table->num_buckets();
-    choice.fetch_fraction = 1.0;
-    choice.dop = PlanDop(choice.ambivalent);
-    choice.explanation =
-        util::Format("no SMAs available, dop=%zu", choice.dop) +
-        BatchNote(options_.batch_size);
-    return choice;
+    choice->kind = select ? PlanKind::kScan : PlanKind::kScanAggr;
+    choice->ambivalent = table->num_buckets();
+    choice->fetch_fraction = 1.0;
+    choice->explanation = "no SMAs available";
+    if (!select) {
+      choice->dop = PlanDop(choice->ambivalent);
+      choice->explanation += util::Format(", dop=%zu", choice->dop) +
+                             BatchNote(options_.batch_size);
+    }
+    return true;
   }
   const std::string trust_issue = smas_->TrustIssue();
   if (!trust_issue.empty()) {
-    return Demoted(query.table->num_buckets(), /*select=*/false, trust_issue);
+    *choice = Demoted(table->num_buckets(), select, trust_issue);
+    return true;
   }
-  const Status census = Census(query.table, query.pred, &choice, ctx);
-  if (!census.ok()) {
-    if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
-    if (census.code() == StatusCode::kCorruption ||
-        census.code() == StatusCode::kIOError) {
-      // Grading failed reading a SMA-file; base data is still authoritative.
-      return Demoted(query.table->num_buckets(), /*select=*/false,
-                     "grading failed (" + census.message() + ")");
-    }
-    return census;
+  const Status census = Census(table, pred, choice, ctx);
+  if (census.ok()) return false;
+  if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
+  if (census.code() == StatusCode::kCorruption ||
+      census.code() == StatusCode::kIOError) {
+    // Grading failed reading a SMA-file; base data is still authoritative.
+    *choice = Demoted(table->num_buckets(), select,
+                      "grading failed (" + census.message() + ")");
+    return true;
   }
+  return census;
+}
+
+Result<PlanChoice> Planner::Choose(const AggQuery& query,
+                                   const util::QueryContext* ctx) const {
+  PlanChoice choice;
+  SMADB_ASSIGN_OR_RETURN(
+      bool decided,
+      CensusOrScan(query.table, query.pred, /*select=*/false, ctx, &choice));
+  if (decided) return choice;
   const double total =
       std::max<double>(1.0, static_cast<double>(choice.total_buckets()));
   const double ambivalent_frac =
@@ -223,27 +234,10 @@ Result<PlanChoice> Planner::Choose(const AggQuery& query,
 Result<PlanChoice> Planner::ChooseSelect(const SelectQuery& query,
                                          const util::QueryContext* ctx) const {
   PlanChoice choice;
-  if (smas_ == nullptr || smas_->size() == 0) {
-    choice.kind = PlanKind::kScan;
-    choice.ambivalent = query.table->num_buckets();
-    choice.fetch_fraction = 1.0;
-    choice.explanation = "no SMAs available";
-    return choice;
-  }
-  const std::string trust_issue = smas_->TrustIssue();
-  if (!trust_issue.empty()) {
-    return Demoted(query.table->num_buckets(), /*select=*/true, trust_issue);
-  }
-  const Status census = Census(query.table, query.pred, &choice, ctx);
-  if (!census.ok()) {
-    if (census.code() == StatusCode::kCorruption) DistrustCorrupted(census);
-    if (census.code() == StatusCode::kCorruption ||
-        census.code() == StatusCode::kIOError) {
-      return Demoted(query.table->num_buckets(), /*select=*/true,
-                     "grading failed (" + census.message() + ")");
-    }
-    return census;
-  }
+  SMADB_ASSIGN_OR_RETURN(
+      bool decided,
+      CensusOrScan(query.table, query.pred, /*select=*/true, ctx, &choice));
+  if (decided) return choice;
   const double total =
       std::max<double>(1.0, static_cast<double>(choice.total_buckets()));
   const double processed_frac =
@@ -291,17 +285,12 @@ Result<std::unique_ptr<Operator>> Planner::Build(const AggQuery& query,
 
 Result<std::unique_ptr<Operator>> Planner::BuildSelect(
     const SelectQuery& query, PlanKind kind) const {
-  switch (kind) {
-    case PlanKind::kSmaScan:
-      return std::unique_ptr<Operator>(
-          std::make_unique<SmaScan>(query.table, query.pred, smas_));
-    case PlanKind::kScan:
-      return std::unique_ptr<Operator>(
-          std::make_unique<TableScan>(query.table, query.pred));
-    default:
-      return Status::InvalidArgument(
-          "aggregate plan kind passed to BuildSelect");
+  if (kind != PlanKind::kSmaScan && kind != PlanKind::kScan) {
+    return Status::InvalidArgument("aggregate plan kind passed to BuildSelect");
   }
+  // The sequential scan is SMA_Scan without SMAs: every bucket ambivalent.
+  return std::unique_ptr<Operator>(std::make_unique<SmaScan>(
+      query.table, query.pred, kind == PlanKind::kSmaScan ? smas_ : nullptr));
 }
 
 Result<QueryResult> RunToCompletion(Operator* op,
@@ -309,20 +298,17 @@ Result<QueryResult> RunToCompletion(Operator* op,
   SMADB_RETURN_NOT_OK(op->Init());
   QueryResult result;
   result.schema = std::make_shared<storage::Schema>(op->output_schema());
-  TupleRef t;
-  size_t rows_since_check = 0;
+  exec::Batch batch;
+  batch.Configure(&op->output_schema(), exec::kDefaultBatchSize);
   while (true) {
-    if (++rows_since_check >= 512) {
-      rows_since_check = 0;
-      SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "RunToCompletion"));
-    }
-    SMADB_ASSIGN_OR_RETURN(bool has, op->Next(&t));
+    SMADB_RETURN_NOT_OK(util::QueryContext::Check(ctx, "RunToCompletion"));
+    SMADB_ASSIGN_OR_RETURN(bool has, op->NextBatch(&batch));
     if (!has) break;
-    TupleBuffer row(result.schema.get());
-    for (size_t c = 0; c < result.schema->num_fields(); ++c) {
-      row.SetValue(c, t.GetValue(c));
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      TupleBuffer row(result.schema.get());
+      batch.cols.MaterializeRow(batch.sel.row(k), &row);
+      result.rows.push_back(std::move(row));
     }
-    result.rows.push_back(std::move(row));
   }
   return result;
 }
@@ -343,6 +329,42 @@ uint64_t ElapsedNs(const util::Stopwatch& w) {
 
 }  // namespace
 
+Result<QueryResult> Planner::RunPlan(Operator* op, const PlanChoice& plan,
+                                     util::QueryContext* ctx) const {
+  if (ctx != nullptr) op->BindContext(ctx);
+  util::Stopwatch exec_watch;
+  Result<QueryResult> run = RunToCompletion(op, ctx);
+  // Phases accumulate: a degradation-ladder rerun adds its own planning and
+  // execution time into the same rows, so the report covers the whole query.
+  obs::QueryProfile::Phase(ctx != nullptr ? ctx->profile() : nullptr,
+                           "execute", ElapsedNs(exec_watch));
+  if (run.ok()) {
+    run->plan = plan;
+    AnnotateGovernor(&run->plan, ctx);
+  }
+  return run;
+}
+
+Result<QueryResult> Planner::RerunDemoted(
+    storage::Table* table, bool select, const PlanChoice& failed,
+    const Status& why, util::QueryContext* ctx,
+    const std::function<Result<std::unique_ptr<Operator>>(size_t dop)>&
+        build_scan) const {
+  // The SMA plan died mid-run on bad storage. Base data is authoritative:
+  // rerun as a sequential scan (which still surfaces base-table errors).
+  if (why.code() == StatusCode::kCorruption) DistrustCorrupted(why);
+  const PlanChoice fallback =
+      Demoted(table->num_buckets(), select,
+              std::string(PlanKindToString(failed.kind)) +
+                  " failed mid-run (" + why.message() + ")");
+  obs::QueryProfile::Event(ctx != nullptr ? ctx->profile() : nullptr,
+                           "demoted to sequential scan: " +
+                               fallback.explanation);
+  SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
+                         build_scan(fallback.dop));
+  return RunPlan(rerun.get(), fallback, ctx);
+}
+
 Result<QueryResult> Planner::Execute(const AggQuery& query,
                                      util::QueryContext* ctx) const {
   obs::QueryProfile* prof = ctx != nullptr ? ctx->profile() : nullptr;
@@ -350,43 +372,18 @@ Result<QueryResult> Planner::Execute(const AggQuery& query,
   SMADB_ASSIGN_OR_RETURN(PlanChoice choice, Choose(query, ctx));
   SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> op,
                          Build(query, choice.kind, choice.dop));
-  if (ctx != nullptr) op->BindContext(ctx);
-  // Phases accumulate: a degradation-ladder rerun adds its own planning and
-  // execution time into the same rows, so the report covers the whole query.
   obs::QueryProfile::Phase(prof, "plan", ElapsedNs(plan_watch));
-  util::Stopwatch exec_watch;
-  Result<QueryResult> run = RunToCompletion(op.get(), ctx);
-  obs::QueryProfile::Phase(prof, "execute", ElapsedNs(exec_watch));
-  if (run.ok()) {
-    run->plan = choice;
-    AnnotateGovernor(&run->plan, ctx);
-    return run;
-  }
+  Result<QueryResult> run = RunPlan(op.get(), choice, ctx);
+  if (run.ok()) return run;
   const bool sma_plan = choice.kind == PlanKind::kSmaGAggr ||
                         choice.kind == PlanKind::kSmaScanAggr;
   if (sma_plan && DemotableFailure(run.status())) {
-    // The SMA plan died mid-run on bad storage. Base data is authoritative:
-    // rerun as a sequential scan (which still surfaces base-table errors).
-    if (run.status().code() == StatusCode::kCorruption) {
-      DistrustCorrupted(run.status());
-    }
-    PlanChoice fallback =
-        Demoted(query.table->num_buckets(), /*select=*/false,
-                std::string(PlanKindToString(choice.kind)) +
-                    " failed mid-run (" + run.status().message() + ")");
-    obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
-                                       fallback.explanation);
-    SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
-                           Build(query, PlanKind::kScanAggr, fallback.dop));
-    if (ctx != nullptr) rerun->BindContext(ctx);
-    util::Stopwatch rerun_watch;
-    SMADB_ASSIGN_OR_RETURN(QueryResult result,
-                           RunToCompletion(rerun.get(), ctx));
-    obs::QueryProfile::Phase(prof, "execute", ElapsedNs(rerun_watch));
-    result.plan = fallback;
-    AnnotateGovernor(&result.plan, ctx);
-    return result;
+    return RerunDemoted(query.table, /*select=*/false, choice, run.status(),
+                        ctx, [&](size_t dop) {
+                          return Build(query, PlanKind::kScanAggr, dop);
+                        });
   }
+
   // Degradation ladder rung 2 (DESIGN.md §10): a plan that blew its
   // memory budget reruns at a small constant batch size — the column
   // batches were the incremental cost, and every batch size produces
@@ -444,39 +441,18 @@ Result<QueryResult> Planner::ExecuteSelect(const SelectQuery& query,
   SMADB_ASSIGN_OR_RETURN(PlanChoice choice, ChooseSelect(query, ctx));
   SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> op,
                          BuildSelect(query, choice.kind));
-  if (ctx != nullptr) op->BindContext(ctx);
   obs::QueryProfile::Phase(prof, "plan", ElapsedNs(plan_watch));
-  util::Stopwatch exec_watch;
-  Result<QueryResult> run = RunToCompletion(op.get(), ctx);
-  obs::QueryProfile::Phase(prof, "execute", ElapsedNs(exec_watch));
-  if (run.ok()) {
-    run->plan = choice;
-    AnnotateGovernor(&run->plan, ctx);
-    return run;
-  }
+  Result<QueryResult> run = RunPlan(op.get(), choice, ctx);
+  if (run.ok()) return run;
   if (choice.kind != PlanKind::kSmaScan || !DemotableFailure(run.status())) {
     // Selections have no SMA-only partial form (rows cannot be conjured
     // from summaries), so governor errors propagate typed.
     return run.status();
   }
-  if (run.status().code() == StatusCode::kCorruption) {
-    DistrustCorrupted(run.status());
-  }
-  PlanChoice fallback =
-      Demoted(query.table->num_buckets(), /*select=*/true,
-              std::string(PlanKindToString(choice.kind)) +
-                  " failed mid-run (" + run.status().message() + ")");
-  obs::QueryProfile::Event(prof, "demoted to sequential scan: " +
-                                     fallback.explanation);
-  SMADB_ASSIGN_OR_RETURN(std::unique_ptr<Operator> rerun,
-                         BuildSelect(query, PlanKind::kScan));
-  if (ctx != nullptr) rerun->BindContext(ctx);
-  util::Stopwatch rerun_watch;
-  SMADB_ASSIGN_OR_RETURN(QueryResult result, RunToCompletion(rerun.get(), ctx));
-  obs::QueryProfile::Phase(prof, "execute", ElapsedNs(rerun_watch));
-  result.plan = fallback;
-  AnnotateGovernor(&result.plan, ctx);
-  return result;
+  return RerunDemoted(query.table, /*select=*/true, choice, run.status(), ctx,
+                      [&](size_t) {
+                        return BuildSelect(query, PlanKind::kScan);
+                      });
 }
 
 }  // namespace smadb::plan

@@ -15,6 +15,8 @@
 //                          ambivalent buckets.
 //   GAggr ∘ TableScan    — the fallback the paper measures against: no
 //                          grading, every bucket fetched and filtered.
+// A selection query runs as exec::SmaScan — with the SMAs (SMA_Scan) or
+// without them (TableScan: every bucket ambivalent).
 //
 // Degradation: SMA plans are only eligible while every SMA of the table is
 // trusted and epoch-fresh (SmaSet::TrustIssue). A corrupt, stale, or
@@ -27,6 +29,7 @@
 #ifndef SMADB_PLANNER_PLANNER_H_
 #define SMADB_PLANNER_PLANNER_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,7 +37,6 @@
 #include "exec/batch.h"
 #include "exec/bucket_aggr.h"
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "sma/sma_set.h"
 #include "util/query_context.h"
 
@@ -109,8 +111,8 @@ struct PlannerOptions {
   /// [1, exec::kMaxBatchSize] (Build rejects anything else). Buckets decode
   /// into column batches, bucket grades map onto selection vectors, and
   /// aggregation uses the fused BatchAggregator kernels. Results are
-  /// identical for every batch size; selection (select *) plans always
-  /// return rows.
+  /// identical for every batch size; selection (select *) plans and
+  /// RunToCompletion use exec::kDefaultBatchSize.
   size_t batch_size = exec::kDefaultBatchSize;
   /// Allow the bottom rung of the degradation ladder: when a SMA_GAggr plan
   /// runs out of deadline or memory, answer from SMAs alone (skipping
@@ -168,6 +170,30 @@ class Planner {
                       PlanChoice* choice,
                       const util::QueryContext* ctx) const;
 
+  /// The shared front of Choose and ChooseSelect. Returns true with the
+  /// final sequential-scan choice in `*choice` when no SMA plan is possible
+  /// (no SMAs, an untrusted SMA, or grading failed on bad storage);
+  /// otherwise false with the bucket census in `*choice`.
+  util::Result<bool> CensusOrScan(storage::Table* table,
+                                  const expr::PredicatePtr& pred, bool select,
+                                  const util::QueryContext* ctx,
+                                  PlanChoice* choice) const;
+
+  /// Binds `op` to `ctx`, runs it to completion as the "execute" phase, and
+  /// stamps `plan` (with the governor notes) onto a successful result.
+  util::Result<QueryResult> RunPlan(exec::Operator* op,
+                                    const PlanChoice& plan,
+                                    util::QueryContext* ctx) const;
+
+  /// The mid-run rung of the degradation ladder: SMA plan `failed` died
+  /// with `why` on bad storage, so the query reruns as the sequential scan
+  /// `build_scan` makes for a DOP, from base data.
+  util::Result<QueryResult> RerunDemoted(
+      storage::Table* table, bool select, const PlanChoice& failed,
+      const util::Status& why, util::QueryContext* ctx,
+      const std::function<util::Result<std::unique_ptr<exec::Operator>>(
+          size_t dop)>& build_scan) const;
+
   /// The bottom rung of the degradation ladder: a full-scan choice whose
   /// explanation records why the SMA plan was demoted.
   PlanChoice Demoted(uint64_t total_buckets, bool select,
@@ -185,8 +211,8 @@ class Planner {
   PlannerOptions options_;
 };
 
-/// Runs any operator to completion, copying its output rows. `ctx`
-/// (optional) adds a cooperative checkpoint to the result-copy loop.
+/// Runs any operator to completion, draining its batches into rows. `ctx`
+/// (optional) adds a cooperative checkpoint per batch.
 util::Result<QueryResult> RunToCompletion(exec::Operator* op,
                                           const util::QueryContext* ctx =
                                               nullptr);

@@ -10,6 +10,10 @@
 //
 // We summarize each *page* of the first-level min (resp. max) SMA-file by
 // its minimum (resp. maximum): one level-2 entry covers up to 1024 buckets.
+//
+// Experiment-only: the X2 benchmark (bench_x2_hierarchical) and
+// examples/sma_tuning build and measure it directly; no planner or
+// operator path grades through it.
 
 #ifndef SMADB_SMA_HIERARCHICAL_H_
 #define SMADB_SMA_HIERARCHICAL_H_

@@ -148,8 +148,8 @@ class ColumnBatch {
   bool decoded(size_t col) const { return decoded_[col]; }
   const std::vector<bool>& projection() const { return decoded_; }
 
-  /// Appends one tuple, decoding the projected columns (row-at-a-time
-  /// fallback used by the generic Operator::NextBatch adapter).
+  /// Appends one tuple, decoding the projected columns (the emit path of
+  /// operators that materialize rows: Sort, GAggr, BucketAggr, HashJoin).
   void AppendRow(const TupleRef& t);
 
   /// Bulk-decodes the live tuples of `page` (a data page of `table`, whose
@@ -186,7 +186,8 @@ class ColumnBatch {
   util::Value GetValue(size_t col, size_t row) const;
 
   /// Re-materializes row `row` into `out` (schema must match). Requires a
-  /// full projection — the row-adapter path.
+  /// full projection — how Sort, the HashJoin build side and
+  /// RunToCompletion keep rows.
   void MaterializeRow(size_t row, TupleBuffer* out) const;
 
   /// Estimated heap footprint of a configured batch: the bytes Configure

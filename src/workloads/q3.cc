@@ -1,11 +1,9 @@
 #include "workloads/q3.h"
 
-#include "exec/filter.h"
 #include "exec/gaggr.h"
 #include "exec/join.h"
 #include "exec/sma_scan.h"
 #include "exec/sort.h"
-#include "exec/table_scan.h"
 #include "expr/parser.h"
 #include "sma/builder.h"
 #include "tpch/schemas.h"
@@ -65,33 +63,23 @@ Result<std::unique_ptr<Operator>> MakeQ3Plan(const Q3Tables& tables,
       Predicate::AtomString(&tables.customer->schema(), "c_mktsegment",
                             CmpOp::kEq, std::string(segment)));
   std::unique_ptr<Operator> cust =
-      std::make_unique<exec::TableScan>(tables.customer, cust_pred);
+      std::make_unique<exec::SmaScan>(tables.customer, cust_pred, nullptr);
 
   // orders: o_orderdate < cutoff (SMA-pruned when SMAs are supplied).
   SMADB_ASSIGN_OR_RETURN(
       PredicatePtr ord_pred,
       Predicate::AtomConst(&tables.orders->schema(), "o_orderdate",
                            CmpOp::kLt, Value::MakeDate(cutoff)));
-  std::unique_ptr<Operator> ord;
-  if (tables.orders_smas != nullptr) {
-    ord = std::make_unique<exec::SmaScan>(tables.orders, ord_pred,
-                                          tables.orders_smas);
-  } else {
-    ord = std::make_unique<exec::TableScan>(tables.orders, ord_pred);
-  }
+  std::unique_ptr<Operator> ord = std::make_unique<exec::SmaScan>(
+      tables.orders, ord_pred, tables.orders_smas);
 
   // lineitem: l_shipdate > cutoff.
   SMADB_ASSIGN_OR_RETURN(
       PredicatePtr li_pred,
       Predicate::AtomConst(&tables.lineitem->schema(), "l_shipdate",
                            CmpOp::kGt, Value::MakeDate(cutoff)));
-  std::unique_ptr<Operator> li;
-  if (tables.lineitem_smas != nullptr) {
-    li = std::make_unique<exec::SmaScan>(tables.lineitem, li_pred,
-                                         tables.lineitem_smas);
-  } else {
-    li = std::make_unique<exec::TableScan>(tables.lineitem, li_pred);
-  }
+  std::unique_ptr<Operator> li = std::make_unique<exec::SmaScan>(
+      tables.lineitem, li_pred, tables.lineitem_smas);
 
   // orders ⋈ customer on custkey (small build side: filtered customers).
   SMADB_ASSIGN_OR_RETURN(

@@ -33,8 +33,9 @@ struct Q3Tables {
   const sma::SmaSet* lineitem_smas = nullptr;
 };
 
-/// Builds the Q3 operator tree. With SMA sets supplied, the ORDERS and
-/// LINEITEM leaves are SMA_Scans; otherwise plain TableScans.
+/// Builds the Q3 operator tree. Every leaf is an SMA_Scan; those without
+/// an SMA set (always CUSTOMER) grade every bucket ambivalent, i.e. scan
+/// sequentially.
 util::Result<std::unique_ptr<exec::Operator>> MakeQ3Plan(
     const Q3Tables& tables, std::string_view segment = "BUILDING",
     std::string_view cutoff_date = "1995-03-15", size_t limit = 10);

@@ -9,7 +9,8 @@
 #include "baseline/datacube.h"
 #include "baseline/projection_index.h"
 #include "exec/gaggr.h"
-#include "exec/table_scan.h"
+#include "exec/sma_scan.h"
+#include "planner/planner.h"
 #include "tests/test_util.h"
 
 namespace smadb::baseline {
@@ -222,13 +223,13 @@ struct DataCubeTest : ::testing::Test {
 TEST_F(DataCubeTest, CellAggregatesMatchGAggr) {
   auto cube = Unwrap(DataCube::Build(table, {3, 4}, aggs));
   // Reference via GAggr on the same grouping.
-  auto scan = std::make_unique<exec::TableScan>(table,
-                                                expr::Predicate::True());
+  auto scan = std::make_unique<exec::SmaScan>(
+      table, expr::Predicate::True(), nullptr);
   auto ref = Unwrap(exec::GAggr::Make(std::move(scan), {3, 4}, aggs));
-  ExpectOk(ref->Init());
-  storage::TupleRef row;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(ref.get()));
   size_t cells = 0;
-  while (*ref->Next(&row)) {
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const storage::TupleRef row = buf.AsRef();
     ++cells;
     const auto got = Unwrap(cube->CellAggregates(
         {row.GetValue(0), row.GetValue(1)}));

@@ -1,7 +1,8 @@
-// Tests for the physical operators: TableScan, SMA_Scan (Fig. 6), GAggr,
-// BucketAggr running SMA_GAggr (Fig. 7). The central properties:
-// SMA_Scan ≡ TableScan, and SMA_GAggr equals a brute-force aggregation
-// on every layout and predicate.
+// Tests for the physical operators: SMA_Scan (Fig. 6) with and without
+// SMAs (the latter is the plain table scan), GAggr, BucketAggr running
+// SMA_GAggr (Fig. 7), Sort. The central properties: SMA_Scan returns the
+// table scan's rows, and SMA_GAggr equals a brute-force aggregation on
+// every layout and predicate.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,7 @@
 #include "exec/gaggr.h"
 #include "exec/sma_scan.h"
 #include "exec/sort.h"
-#include "exec/table_scan.h"
+#include "planner/planner.h"
 #include "tests/test_util.h"
 
 namespace smadb::exec {
@@ -50,19 +51,19 @@ struct ExecTest : ::testing::Test {
   TestDb db;
 };
 
-// ------------------------------------------------------------- TableScan --
+// ------------------------------------------- SmaScan without SMAs (scan) --
 
 TEST_F(ExecTest, TableScanSeesAllTuples) {
   storage::Table* t =
       MakeSyntheticTable(&db, 1234, testing::Layout::kRandom);
-  TableScan scan(t, Predicate::True());
+  SmaScan scan(t, Predicate::True(), nullptr);
   EXPECT_EQ(Collect(&scan).size(), 1234u);
 }
 
 TEST_F(ExecTest, TableScanEmptyTable) {
   storage::Table* t = Unwrap(
       db.catalog.CreateTable("empty", testing::SyntheticSchema(), {}));
-  TableScan scan(t, Predicate::True());
+  SmaScan scan(t, Predicate::True(), nullptr);
   EXPECT_TRUE(Collect(&scan).empty());
 }
 
@@ -71,14 +72,14 @@ TEST_F(ExecTest, TableScanFiltersExactly) {
       MakeSyntheticTable(&db, 1000, testing::Layout::kRandom);
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "k", CmpOp::kLt, Value::Int64(100)));
-  TableScan scan(t, pred);
+  SmaScan scan(t, pred, nullptr);
   EXPECT_EQ(Collect(&scan).size(), 100u);
 }
 
 TEST_F(ExecTest, TableScanRestartable) {
   storage::Table* t =
       MakeSyntheticTable(&db, 300, testing::Layout::kRandom);
-  TableScan scan(t, Predicate::True());
+  SmaScan scan(t, Predicate::True(), nullptr);
   EXPECT_EQ(Collect(&scan).size(), 300u);
   EXPECT_EQ(Collect(&scan).size(), 300u);  // Init() resets
 }
@@ -99,7 +100,7 @@ TEST_F(ExecTest, SmaScanEquivalentToTableScan) {
       const int32_t c = static_cast<int32_t>(rng.Uniform(0, 3000 / 8));
       const PredicatePtr pred = Unwrap(Predicate::AtomConst(
           &t->schema(), "d", op, Value::MakeDate(util::Date(c))));
-      TableScan plain(t, pred);
+      SmaScan plain(t, pred, nullptr);
       SmaScan pruned(t, pred, &smas);
       EXPECT_EQ(Collect(&plain), Collect(&pruned))
           << "layout " << static_cast<int>(layout) << " trial " << trial;
@@ -136,7 +137,7 @@ TEST_F(ExecTest, SmaScanWithMultiPageBuckets) {
   AddMinMaxSmas(t, &smas, "d");
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kGe, Value::MakeDate(util::Date(300))));
-  TableScan plain(t, pred);
+  SmaScan plain(t, pred, nullptr);
   SmaScan pruned(t, pred, &smas);
   EXPECT_EQ(Collect(&plain), Collect(&pruned));
 }
@@ -160,7 +161,7 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
                                AggSpec::Avg(v, "avg_v"),
                                AggSpec::Min(v, "min_v"),
                                AggSpec::Max(v, "max_v")};
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   auto aggr = Unwrap(GAggr::Make(std::move(scan), {3}, aggs));
 
   // Brute force.
@@ -180,10 +181,10 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
         }));
   }
 
-  ExpectOk(aggr->Init());
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
   size_t groups_seen = 0;
-  TupleRef row;
-  while (*aggr->Next(&row)) {
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const TupleRef row = buf.AsRef();
     ++groups_seen;
     const std::string key(row.GetString(0));
     ASSERT_TRUE(ref.count(key));
@@ -203,20 +204,18 @@ TEST_F(ExecTest, GAggrMatchesBruteForce) {
 TEST_F(ExecTest, GAggrGlobalAggregation) {
   storage::Table* t =
       MakeSyntheticTable(&db, 777, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   auto aggr =
       Unwrap(GAggr::Make(std::move(scan), {}, {AggSpec::Count("n")}));
-  ExpectOk(aggr->Init());
-  TupleRef row;
-  ASSERT_TRUE(*aggr->Next(&row));
-  EXPECT_EQ(row.GetInt64(0), 777);
-  EXPECT_FALSE(*aggr->Next(&row));
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].AsRef().GetInt64(0), 777);
 }
 
 TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
   storage::Table* t =
       MakeSyntheticTable(&db, 900, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   auto aggr =
       Unwrap(GAggr::Make(std::move(scan), {3}, {AggSpec::Count("n")}));
   const auto rows = Collect(aggr.get());
@@ -227,16 +226,16 @@ TEST_F(ExecTest, GAggrOutputSortedByGroupKey) {
 TEST_F(ExecTest, GAggrValidation) {
   storage::Table* t =
       MakeSyntheticTable(&db, 10, testing::Layout::kRandom);
-  auto scan = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   // No aggregates.
   EXPECT_FALSE(GAggr::Make(std::move(scan), {3}, {}).ok());
   // Aggregate over a string column.
-  auto scan2 = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan2 = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   const expr::ExprPtr tag = Unwrap(expr::Column(&t->schema(), "tag"));
   EXPECT_FALSE(
       GAggr::Make(std::move(scan2), {}, {AggSpec::Sum(tag, "s")}).ok());
   // No row mode: a batch size of 0 is out of range.
-  auto scan3 = std::make_unique<TableScan>(t, Predicate::True());
+  auto scan3 = std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
   EXPECT_EQ(GAggr::Make(std::move(scan3), {3}, {AggSpec::Count("n")}, 0)
                 .status()
                 .code(),
@@ -394,13 +393,14 @@ TEST_F(ExecTest, SortOrdersAscendingAndDescending) {
   storage::Table* t =
       MakeSyntheticTable(&db, 500, testing::Layout::kRandom, 3, 1, "sorted");
   auto asc = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
+      std::make_unique<SmaScan>(t, Predicate::True(), nullptr),
       {SortKey{1, false}}));
-  ExpectOk(asc->Init());
-  TupleRef row;
   int32_t prev = INT32_MIN;
   size_t n = 0;
-  while (*asc->Next(&row)) {
+  const plan::QueryResult asc_rows =
+      Unwrap(plan::RunToCompletion(asc.get()));
+  for (const storage::TupleBuffer& buf : asc_rows.rows) {
+    const TupleRef row = buf.AsRef();
     const int32_t d = static_cast<int32_t>(row.GetRawInt(1));
     EXPECT_GE(d, prev);
     prev = d;
@@ -409,11 +409,13 @@ TEST_F(ExecTest, SortOrdersAscendingAndDescending) {
   EXPECT_EQ(n, 500u);
 
   auto desc = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
+      std::make_unique<SmaScan>(t, Predicate::True(), nullptr),
       {SortKey{1, true}}));
-  ExpectOk(desc->Init());
   prev = INT32_MAX;
-  while (*desc->Next(&row)) {
+  const plan::QueryResult desc_rows =
+      Unwrap(plan::RunToCompletion(desc.get()));
+  for (const storage::TupleBuffer& buf : desc_rows.rows) {
+    const TupleRef row = buf.AsRef();
     const int32_t d = static_cast<int32_t>(row.GetRawInt(1));
     EXPECT_LE(d, prev);
     prev = d;
@@ -424,14 +426,15 @@ TEST_F(ExecTest, SortSecondaryKeyAndLimit) {
   storage::Table* t = MakeSyntheticTable(&db, 300, testing::Layout::kRandom,
                                          5, 1, "sorted2");
   auto sorted = Unwrap(Sort::Make(
-      std::make_unique<TableScan>(t, Predicate::True()),
+      std::make_unique<SmaScan>(t, Predicate::True(), nullptr),
       {SortKey{3, false}, SortKey{0, true}}, /*limit=*/20));
-  ExpectOk(sorted->Init());
-  TupleRef row;
   size_t n = 0;
   std::string prev_grp;
   int64_t prev_k = INT64_MAX;
-  while (*sorted->Next(&row)) {
+  const plan::QueryResult sorted_rows =
+      Unwrap(plan::RunToCompletion(sorted.get()));
+  for (const storage::TupleBuffer& buf : sorted_rows.rows) {
+    const TupleRef row = buf.AsRef();
     const std::string grp(row.GetString(3));
     const int64_t k = row.GetInt64(0);
     if (!prev_grp.empty()) {
@@ -450,11 +453,11 @@ TEST_F(ExecTest, SortSecondaryKeyAndLimit) {
 TEST_F(ExecTest, SortValidation) {
   storage::Table* t = MakeSyntheticTable(&db, 10, testing::Layout::kRandom,
                                          9, 1, "sorted3");
-  EXPECT_FALSE(
-      Sort::Make(std::make_unique<TableScan>(t, Predicate::True()), {}).ok());
-  EXPECT_FALSE(Sort::Make(std::make_unique<TableScan>(t, Predicate::True()),
-                          {SortKey{99, false}})
-                   .ok());
+  auto scan = [&] {
+    return std::make_unique<SmaScan>(t, Predicate::True(), nullptr);
+  };
+  EXPECT_FALSE(Sort::Make(scan(), {}).ok());
+  EXPECT_FALSE(Sort::Make(scan(), {SortKey{99, false}}).ok());
 }
 
 }  // namespace

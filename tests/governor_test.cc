@@ -17,6 +17,7 @@
 #include "db/database.h"
 #include "exec/gaggr.h"
 #include "exec/join.h"
+#include "exec/sma_scan.h"
 #include "exec/sort.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
@@ -302,7 +303,8 @@ TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSelectionPlans) {
 TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSortAndJoin) {
   Setup(testing::Layout::kClustered, "g3");
   {
-    auto scan = std::make_unique<exec::TableScan>(table, Predicate::True());
+    auto scan =
+        std::make_unique<exec::SmaScan>(table, Predicate::True(), nullptr);
     auto sort = Unwrap(exec::Sort::Make(std::move(scan), {{0, false}}));
     QueryContext ctx;
     Expire(&ctx);
@@ -310,8 +312,10 @@ TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSortAndJoin) {
     EXPECT_EQ(sort->Init().code(), StatusCode::kDeadlineExceeded);
   }
   {
-    auto left = std::make_unique<exec::TableScan>(table, Predicate::True());
-    auto right = std::make_unique<exec::TableScan>(table, Predicate::True());
+    auto left =
+        std::make_unique<exec::SmaScan>(table, Predicate::True(), nullptr);
+    auto right =
+        std::make_unique<exec::SmaScan>(table, Predicate::True(), nullptr);
     auto join = Unwrap(
         exec::HashJoin::Make(std::move(left), 0, std::move(right), 0));
     QueryContext ctx;
@@ -319,6 +323,23 @@ TEST_F(GovernorPlanTest, ExpiredDeadlineFailsSortAndJoin) {
     join->BindContext(&ctx);
     EXPECT_EQ(join->Init().code(), StatusCode::kDeadlineExceeded);
   }
+}
+
+// Every build batch is charged, however few rows the build side has.
+TEST_F(GovernorPlanTest, SmallHashJoinBuildSideIsCharged) {
+  Setup(testing::Layout::kClustered, "g3b");
+  storage::Table* small = MakeSyntheticTable(
+      &db, 50, testing::Layout::kClustered, 5, 1, "g3b_small");
+  auto join = Unwrap(exec::HashJoin::Make(
+      std::make_unique<exec::SmaScan>(table, Predicate::True(), nullptr), 0,
+      std::make_unique<exec::SmaScan>(small, Predicate::True(), nullptr), 0));
+  // Below the 50 build rows' bytes.
+  QueryContext ctx(/*global_memory=*/nullptr, /*memory_limit=*/512);
+  join->BindContext(&ctx);
+  const Status s = join->Init();
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(s.message().find("component 'HashJoin'"), std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(GovernorPlanTest, UserCancelSurfacesAsCancelled) {
@@ -365,7 +386,7 @@ TEST_F(GovernorPlanTest, GroupTableBudgetExhaustionNamesGroupTable) {
   expect_early_group_table_failure(op.get());
   // GAggr over a non-bucket child charges per batch the same way.
   auto aggr = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(table, Predicate::True()), {0},
+      std::make_unique<exec::SmaScan>(table, Predicate::True(), nullptr), {0},
       query.aggs));
   expect_early_group_table_failure(aggr.get());
 }

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "planner/planner.h"
 #include "sma/maintenance.h"
@@ -24,6 +28,61 @@ using plan::RunToCompletion;
 using testing::ExpectOk;
 using testing::TestDb;
 using testing::Unwrap;
+
+// One Q3 answer row: l_orderkey, o_orderdate (days), o_shippriority,
+// revenue (cents).
+using Q3Row = std::tuple<int64_t, int64_t, int64_t, int64_t>;
+
+// Brute-force TPC-D Q3 over the generator's rows, sharing no code with the
+// engine's operators: plain hash maps for both joins and the grouping,
+// then sort (revenue desc, o_orderdate, l_orderkey) and limit.
+std::vector<Q3Row> ReferenceQ3(const std::vector<tpch::CustomerRow>& customers,
+                               const std::vector<tpch::OrderRow>& orders,
+                               const std::vector<tpch::LineItemRow>& lineitems,
+                               const std::string& segment,
+                               util::Date cutoff, size_t limit) {
+  std::unordered_set<int64_t> custkeys;
+  for (const auto& c : customers) {
+    if (c.mktsegment == segment) custkeys.insert(c.custkey);
+  }
+  std::unordered_map<int64_t, const tpch::OrderRow*> qualifying;
+  for (const auto& o : orders) {
+    if (o.orderdate < cutoff && custkeys.count(o.custkey) > 0) {
+      qualifying[o.orderkey] = &o;
+    }
+  }
+  std::unordered_map<int64_t, int64_t> revenue;
+  for (const auto& l : lineitems) {
+    if (l.shipdate > cutoff && qualifying.count(l.orderkey) > 0) {
+      revenue[l.orderkey] +=
+          (l.extendedprice * (util::Decimal(100) - l.discount)).cents();
+    }
+  }
+  std::vector<Q3Row> rows;
+  for (const auto& [orderkey, cents] : revenue) {
+    const tpch::OrderRow* o = qualifying.at(orderkey);
+    rows.emplace_back(orderkey, o->orderdate.days(), o->shippriority, cents);
+  }
+  std::sort(rows.begin(), rows.end(), [](const Q3Row& a, const Q3Row& b) {
+    const auto& [a_key, a_date, a_prio, a_rev] = a;
+    const auto& [b_key, b_date, b_prio, b_rev] = b;
+    return std::tie(b_rev, a_date, a_key) < std::tie(a_rev, b_date, b_key);
+  });
+  if (rows.size() > limit) rows.resize(limit);
+  return rows;
+}
+
+// The engine's Q3 answer in the ReferenceQ3 form.
+std::vector<Q3Row> RunQ3(exec::Operator* op) {
+  const QueryResult result = Unwrap(RunToCompletion(op));
+  std::vector<Q3Row> rows;
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const storage::TupleRef t = buf.AsRef();
+    rows.emplace_back(t.GetRawInt(0), t.GetRawInt(1), t.GetRawInt(2),
+                      t.GetRawInt(3));
+  }
+  return rows;
+}
 
 struct Q1Integration : ::testing::Test {
   Q1Integration() : db(32768) {}
@@ -152,8 +211,8 @@ TEST_F(Q1Integration, Q3JoinPipelineAgreesWithAndWithoutSmas) {
   storage::Table* orders = Unwrap(tpch::LoadOrders(&db.catalog, orows, load));
   storage::Table* lineitem =
       Unwrap(tpch::LoadLineItem(&db.catalog, lrows, load));
-  storage::Table* customer =
-      Unwrap(tpch::LoadCustomers(&db.catalog, gen.GenCustomers()));
+  const std::vector<tpch::CustomerRow> crows = gen.GenCustomers();
+  storage::Table* customer = Unwrap(tpch::LoadCustomers(&db.catalog, crows));
 
   sma::SmaSet orders_smas(orders);
   sma::SmaSet lineitem_smas(lineitem);
@@ -161,20 +220,7 @@ TEST_F(Q1Integration, Q3JoinPipelineAgreesWithAndWithoutSmas) {
                                   &lineitem_smas));
 
   auto drain = [](exec::Operator* op) {
-    ExpectOk(op->Init());
-    std::string out;
-    storage::TupleRef row;
-    while (true) {
-      auto has = op->Next(&row);
-      EXPECT_TRUE(has.ok());
-      if (!*has) break;
-      for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-        out += row.GetValue(c).ToString();
-        out += '|';
-      }
-      out += '\n';
-    }
-    return out;
+    return Unwrap(RunToCompletion(op)).ToString();
   };
 
   workloads::Q3Tables with{customer, orders, lineitem, &orders_smas,
@@ -192,6 +238,17 @@ TEST_F(Q1Integration, Q3JoinPipelineAgreesWithAndWithoutSmas) {
   auto plan_auto_ref = Unwrap(
       workloads::MakeQ3Plan(without, "MACHINERY", "1996-06-01", 5));
   EXPECT_EQ(drain(plan_auto.get()), drain(plan_auto_ref.get()));
+
+  // Both plans equal the brute-force answer.
+  const auto want = ReferenceQ3(crows, orows, lrows, "BUILDING",
+                                util::Date::FromYmd(1995, 3, 15), 10);
+  EXPECT_EQ(want.size(), 10u);
+  EXPECT_EQ(RunQ3(plan_with.get()), want);
+  EXPECT_EQ(RunQ3(plan_without.get()), want);
+  const auto want_auto = ReferenceQ3(crows, orows, lrows, "MACHINERY",
+                                     util::Date::FromYmd(1996, 6, 1), 5);
+  EXPECT_EQ(RunQ3(plan_auto.get()), want_auto);
+  EXPECT_EQ(RunQ3(plan_auto_ref.get()), want_auto);
 }
 
 TEST_F(Q1Integration, Q4ExistsSemiJoinMatchesBruteForce) {
@@ -211,10 +268,10 @@ TEST_F(Q1Integration, Q4ExistsSemiJoinMatchesBruteForce) {
 
   auto plan = Unwrap(
       workloads::MakeQ4Plan(orders, lineitem, &orders_smas, "1993-07-01"));
-  ExpectOk(plan->Init());
+  const QueryResult result = Unwrap(RunToCompletion(plan.get()));
   std::map<std::string, int64_t> got;
-  storage::TupleRef row;
-  while (*plan->Next(&row)) {
+  for (const storage::TupleBuffer& buf : result.rows) {
+    const storage::TupleRef row = buf.AsRef();
     got[std::string(row.GetString(0))] = row.GetInt64(1);
   }
 

@@ -1,14 +1,14 @@
-// Tests for Filter, HashJoin, and the SMA-reduced semi-join operator.
+// Tests for HashJoin and the SMA-reduced semi-join operator.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
-#include "exec/filter.h"
 #include "exec/gaggr.h"
 #include "exec/join.h"
-#include "exec/table_scan.h"
+#include "exec/sma_scan.h"
+#include "planner/planner.h"
 #include "tests/test_util.h"
 #include "util/string_util.h"
 
@@ -29,52 +29,7 @@ using testing::Unwrap;
 using util::Value;
 
 std::vector<std::string> Drain(Operator* op) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  TupleRef t;
-  while (true) {
-    auto has = op->Next(&t);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
-    }
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-// ---------------------------------------------------------------- Filter --
-
-TEST(FilterTest, FiltersChildOutput) {
-  TestDb db;
-  storage::Table* t =
-      MakeSyntheticTable(&db, 500, testing::Layout::kRandom);
-  const PredicatePtr pred = Unwrap(Predicate::AtomConst(
-      &t->schema(), "k", CmpOp::kLt, Value::Int64(100)));
-  auto filtered = std::make_unique<Filter>(
-      std::make_unique<TableScan>(t, Predicate::True()), pred);
-  EXPECT_EQ(Drain(filtered.get()).size(), 100u);
-}
-
-TEST(FilterTest, StringPredicate) {
-  TestDb db;
-  storage::Table* t =
-      MakeSyntheticTable(&db, 600, testing::Layout::kRandom);
-  const PredicatePtr pred = Unwrap(
-      Predicate::AtomString(&t->schema(), "grp", CmpOp::kEq, "A"));
-  auto filtered = std::make_unique<Filter>(
-      std::make_unique<TableScan>(t, Predicate::True()), pred);
-  size_t expected = 0;
-  for (uint32_t b = 0; b < t->num_buckets(); ++b) {
-    ExpectOk(t->ForEachTupleInBucket(b, [&](const TupleRef& tup, Rid) {
-      expected += tup.GetString(3) == "A";
-    }));
-  }
-  EXPECT_GT(expected, 0u);
-  EXPECT_EQ(Drain(filtered.get()).size(), expected);
+  return testing::DrainRowStrings(op);
 }
 
 // -------------------------------------------------------------- HashJoin --
@@ -108,8 +63,8 @@ struct JoinFixture : ::testing::Test {
 
 TEST_F(JoinFixture, InnerJoinCardinalityAndContent) {
   auto join = Unwrap(HashJoin::Make(
-      std::make_unique<TableScan>(child, Predicate::True()), 0,
-      std::make_unique<TableScan>(parent, Predicate::True()), 0));
+      std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 0,
+      std::make_unique<SmaScan>(parent, Predicate::True(), nullptr), 0));
   // Output schema is the concatenation.
   EXPECT_EQ(join->output_schema().num_fields(),
             child->schema().num_fields() + parent->schema().num_fields());
@@ -118,10 +73,10 @@ TEST_F(JoinFixture, InnerJoinCardinalityAndContent) {
   for (const auto& [fk, n] : fk_counts) {
     if (fk < 50) expected += static_cast<size_t>(n);
   }
-  ExpectOk(join->Init());
-  TupleRef row;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(join.get()));
   size_t rows = 0;
-  while (*join->Next(&row)) {
+  for (const TupleBuffer& buf : result.rows) {
+    const TupleRef row = buf.AsRef();
     ++rows;
     // Join keys agree on both sides.
     EXPECT_EQ(row.GetInt64(0), row.GetInt64(5));
@@ -133,8 +88,8 @@ TEST_F(JoinFixture, DuplicateBuildKeysProduceCrossProduct) {
   // Join child with itself on the fk column: each row matches
   // fk_counts[fk] rows.
   auto join = Unwrap(HashJoin::Make(
-      std::make_unique<TableScan>(child, Predicate::True()), 0,
-      std::make_unique<TableScan>(child, Predicate::True()), 0));
+      std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 0,
+      std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 0));
   size_t expected = 0;
   for (const auto& [fk, n] : fk_counts) {
     expected += static_cast<size_t>(n) * static_cast<size_t>(n);
@@ -145,15 +100,14 @@ TEST_F(JoinFixture, DuplicateBuildKeysProduceCrossProduct) {
 TEST_F(JoinFixture, JoinFeedsAggregation) {
   // count joined rows per parent grp — exercises GAggr over a join.
   auto join = Unwrap(HashJoin::Make(
-      std::make_unique<TableScan>(child, Predicate::True()), 0,
-      std::make_unique<TableScan>(parent, Predicate::True()), 0));
+      std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 0,
+      std::make_unique<SmaScan>(parent, Predicate::True(), nullptr), 0));
   const size_t grp_col = child->schema().num_fields() + 3;
   auto aggr = Unwrap(GAggr::Make(std::move(join), {grp_col},
                                  {AggSpec::Count("n")}));
-  ExpectOk(aggr->Init());
-  TupleRef row;
+  const plan::QueryResult result = Unwrap(plan::RunToCompletion(aggr.get()));
   int64_t total = 0;
-  while (*aggr->Next(&row)) total += row.GetInt64(1);
+  for (const TupleBuffer& row : result.rows) total += row.AsRef().GetInt64(1);
   size_t expected = 0;
   for (const auto& [fk, n] : fk_counts) {
     if (fk < 50) expected += static_cast<size_t>(n);
@@ -162,14 +116,16 @@ TEST_F(JoinFixture, JoinFeedsAggregation) {
 }
 
 TEST_F(JoinFixture, RejectsNonIntegralKeys) {
-  EXPECT_FALSE(HashJoin::Make(
-                   std::make_unique<TableScan>(child, Predicate::True()), 3,
-                   std::make_unique<TableScan>(parent, Predicate::True()), 3)
-                   .ok());
-  EXPECT_FALSE(HashJoin::Make(
-                   std::make_unique<TableScan>(child, Predicate::True()), 99,
-                   std::make_unique<TableScan>(parent, Predicate::True()), 0)
-                   .ok());
+  EXPECT_FALSE(
+      HashJoin::Make(
+          std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 3,
+          std::make_unique<SmaScan>(parent, Predicate::True(), nullptr), 3)
+          .ok());
+  EXPECT_FALSE(
+      HashJoin::Make(
+          std::make_unique<SmaScan>(child, Predicate::True(), nullptr), 99,
+          std::make_unique<SmaScan>(parent, Predicate::True(), nullptr), 0)
+          .ok());
 }
 
 // ------------------------------------------------------------ SmaSemiJoin --
@@ -325,6 +281,73 @@ TEST_F(SemiJoinOpFixture, EmptySYieldsNothing) {
     auto join = Unwrap(SmaSemiJoin::Make(r, 1, op, empty, 1, r_smas.get()));
     EXPECT_TRUE(Drain(join.get()).empty());
   }
+}
+
+// The S pass is governed: a cancelled query stops at its first batch
+// instead of reading all of S first.
+TEST_F(SemiJoinOpFixture, CancelledQueryStopsInTheSPass) {
+  storage::Table* big_s = MakeSyntheticTable(
+      &db, 20000, testing::Layout::kRandom, 9, 1, "s_cancel");
+  auto join =
+      Unwrap(SmaSemiJoin::Make(r, 0, CmpOp::kEq, big_s, 0, r_smas.get()));
+  util::QueryContext ctx;
+  ctx.cancel()->Cancel();
+  join->BindContext(&ctx);
+  const auto fetches = [&] {
+    const storage::PoolStats st = db.pool.stats();
+    return st.hits + st.misses;
+  };
+  const uint64_t before = fetches();
+  EXPECT_EQ(join->Init().code(), util::StatusCode::kCancelled);
+  EXPECT_LT(fetches() - before, big_s->num_pages());
+}
+
+// The S value set (= / != probing) is charged to the query's budget under
+// the operator's own name.
+TEST_F(SemiJoinOpFixture, SValueSetIsChargedToTheBudget) {
+  storage::Table* big_s = MakeSyntheticTable(
+      &db, 20000, testing::Layout::kRandom, 9, 1, "s_budget");
+  auto join =
+      Unwrap(SmaSemiJoin::Make(r, 0, CmpOp::kEq, big_s, 0, r_smas.get()));
+  // Room for the S pass's one-column batch, not for 20000 set entries.
+  util::QueryContext ctx(/*global_memory=*/nullptr,
+                         /*memory_limit=*/64 * 1024);
+  join->BindContext(&ctx);
+  const util::Status st = join->Init();
+  EXPECT_EQ(st.code(), util::StatusCode::kResourceExhausted);
+  EXPECT_NE(st.message().find("component 'SmaSemiJoin'"), std::string::npos)
+      << st.ToString();
+}
+
+// explain analyze shows the semi-join as its consumer's child, with the
+// pages it read and the buckets the reduction spared.
+TEST_F(SemiJoinOpFixture, ProfileNodeReportsPagesAndPrunedBuckets) {
+  auto join = Unwrap(SmaSemiJoin::Make(r, 1, CmpOp::kEq, s, 1, r_smas.get()));
+  const SmaSemiJoin* semi = join.get();
+  auto aggr = Unwrap(GAggr::Make(std::move(join), {}, {AggSpec::Count("n")}));
+  obs::QueryProfile profile;
+  util::QueryContext ctx;
+  ctx.set_profile(&profile);
+  aggr->BindContext(&ctx);
+  const plan::QueryResult result =
+      Unwrap(plan::RunToCompletion(aggr.get(), &ctx));
+  ASSERT_EQ(profile.roots().size(), 1u);
+  const obs::OperatorProfile* root = profile.roots()[0];
+  EXPECT_EQ(root->name(), "GAggr");
+  ASSERT_EQ(root->children().size(), 1u);
+  const obs::OperatorProfile* node = root->children()[0];
+  EXPECT_EQ(node->name(), "SmaSemiJoin");
+  EXPECT_GT(node->pages_read(), 0u);
+  EXPECT_GT(semi->buckets_pruned(), 0u);
+  EXPECT_NE(node->detail().find(util::Format(
+                "pruned=%llu unprobed=%llu",
+                static_cast<unsigned long long>(semi->buckets_pruned()),
+                static_cast<unsigned long long>(semi->buckets_unprobed()))),
+            std::string::npos)
+      << node->detail();
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(node->rows(),
+            static_cast<uint64_t>(result.rows[0].AsRef().GetInt64(0)));
 }
 
 }  // namespace

@@ -167,11 +167,9 @@ struct Census {
 // exercised directly so the profile is checked against first principles.
 Census GroundTruth(storage::Table* table, const PredicatePtr& pred,
                    const sma::SmaSet* smas) {
-  exec::BucketSource source(table, pred, smas);
-  exec::BucketUnit unit;
   Census c;
-  while (Unwrap(source.NextGraded(&unit))) {
-    switch (unit.grade) {
+  for (const sma::Grade grade : testing::GradeBuckets(table, pred, smas)) {
+    switch (grade) {
       case sma::Grade::kQualifies: ++c.q; break;
       case sma::Grade::kDisqualifies: ++c.d; break;
       case sma::Grade::kAmbivalent: ++c.a; break;
@@ -288,14 +286,13 @@ TEST_F(ProfileCensusTest, PagesReadMatchesTheFetchedBuckets) {
   for (const PredicatePtr& pred : PredicateMatrix()) {
     query.pred = pred;
     uint64_t pages_q = 0, pages_a = 0, pages_all = 0;
-    exec::BucketSource source(table, pred, smas.get());
-    exec::BucketUnit unit;
-    while (Unwrap(source.NextGraded(&unit))) {
-      const auto [first, end] =
-          table->BucketPageRange(static_cast<uint32_t>(unit.bucket));
+    const std::vector<sma::Grade> grades =
+        testing::GradeBuckets(table, pred, smas.get());
+    for (uint32_t b = 0; b < grades.size(); ++b) {
+      const auto [first, end] = table->BucketPageRange(b);
       pages_all += end - first;
-      if (unit.grade == sma::Grade::kQualifies) pages_q += end - first;
-      if (unit.grade == sma::Grade::kAmbivalent) pages_a += end - first;
+      if (grades[b] == sma::Grade::kQualifies) pages_q += end - first;
+      if (grades[b] == sma::Grade::kAmbivalent) pages_a += end - first;
     }
     struct Case {
       const exec::BucketActions* actions;

@@ -199,13 +199,14 @@ TEST(DopEquivalenceTest, RandomPredicatesSameRowsAndCensusAcrossDop) {
         &fx.table->schema(), "l_shipdate", op,
         Value::MakeDate(util::Date(day))));
 
-    // References: brute-force rows and the serial grade walk's census.
+    // References: brute-force rows and the grade walk's census.
     const std::vector<std::string> want_rows = testing::ReferenceAggregate(
         fx.table, *query.pred, query.group_by, query.aggs);
     SmaScanStats want_census;
-    exec::BucketSource source(fx.table, query.pred, fx.smas.get());
-    exec::BucketUnit unit;
-    while (Unwrap(source.NextGraded(&unit))) want_census.Tally(unit.grade);
+    for (const sma::Grade grade :
+         testing::GradeBuckets(fx.table, query.pred, fx.smas.get())) {
+      want_census.Tally(grade);
+    }
 
     for (size_t dop : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
       for (const exec::BucketActions* actions :

@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "exec/aggregate.h"
+#include "exec/batch.h"
+#include "exec/bucket_source.h"
 #include "exec/operator.h"
 #include "expr/predicate.h"
 #include "sma/builder.h"
@@ -224,24 +226,69 @@ inline void AddMinMaxSmas(storage::Table* table, sma::SmaSet* smas,
                                              col)))));
 }
 
-/// Runs `op` to completion and serializes every output row as
-/// "v|v|...|" (Value::ToString per column), in output order.
-inline std::vector<std::string> DrainRowStrings(exec::Operator* op) {
+/// Serializes one row as "v|v|...|" (Value::ToString per column).
+inline std::string RowString(const storage::TupleRef& t) {
+  std::string row;
+  for (size_t c = 0; c < t.schema().num_fields(); ++c) {
+    row += t.GetValue(c).ToString();
+    row += '|';
+  }
+  return row;
+}
+
+/// Runs `op` to completion through batches of `batch_size` rows (full
+/// projection) and serializes every selected row in the RowString format,
+/// in output order.
+inline std::vector<std::string> DrainRowStrings(
+    exec::Operator* op, size_t batch_size = exec::kDefaultBatchSize) {
   ExpectOk(op->Init());
   std::vector<std::string> rows;
-  storage::TupleRef t;
+  exec::Batch batch;
+  batch.Configure(&op->output_schema(), batch_size);
   while (true) {
-    auto has = op->Next(&t);
+    auto has = op->NextBatch(&batch);
     EXPECT_TRUE(has.ok()) << has.status().ToString();
     if (!has.ok() || !*has) break;
-    std::string row;
-    for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-      row += t.GetValue(c).ToString();
-      row += '|';
+    for (size_t k = 0; k < batch.sel.count(); ++k) {
+      std::string row;
+      for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
+        row += batch.cols.GetValue(c, batch.sel.row(k)).ToString();
+        row += '|';
+      }
+      rows.push_back(std::move(row));
     }
-    rows.push_back(std::move(row));
   }
   return rows;
+}
+
+/// Brute-force reference for `select * from table where pred`, independent
+/// of the engine's scan machinery (no BucketReader, ColumnBatch or
+/// EvalBatch): the rows Predicate::Eval accepts, bucket by bucket, in the
+/// RowString format and in storage order.
+inline std::vector<std::string> ReferenceSelect(storage::Table* table,
+                                                const expr::Predicate& pred) {
+  std::vector<std::string> rows;
+  for (uint32_t b = 0; b < table->num_buckets(); ++b) {
+    ExpectOk(table->ForEachTupleInBucket(
+        b, [&](const storage::TupleRef& t, storage::Rid) {
+          if (pred.Eval(t)) rows.push_back(RowString(t));
+        }));
+  }
+  return rows;
+}
+
+/// Every bucket's grade for `pred`, through the one grading entry point
+/// the engine uses (BucketSource::GradeLatched with a fresh grader).
+inline std::vector<sma::Grade> GradeBuckets(storage::Table* table,
+                                            const expr::PredicatePtr& pred,
+                                            const sma::SmaSet* smas) {
+  const exec::BucketSource source(table, pred, smas);
+  const std::unique_ptr<sma::BucketGrader> grader = source.NewGrader();
+  std::vector<sma::Grade> grades;
+  for (uint64_t b = 0; b < source.num_buckets(); ++b) {
+    grades.push_back(Unwrap(source.GradeLatched(grader.get(), b)));
+  }
+  return grades;
 }
 
 /// Brute-force reference for grouping aggregation, independent of the

@@ -4,14 +4,12 @@
 //     UnionWith merge.
 //   * EvalBatch ≡ Eval — every predicate shape agrees row-for-row with
 //     tuple-at-a-time evaluation, including AND/OR trees and string atoms.
-//   * NextBatch ≡ Next — every batch-producing operator (TableScan,
-//     SmaScan, Filter, the generic default adapter) returns exactly the
-//     row-path tuples across predicates × batch sizes × bucket sizes.
+//   * Scan ≡ reference — SmaScan with and without SMAs returns exactly the
+//     brute-force selection across layouts × predicates × batch sizes ×
+//     bucket sizes, and fills batches across same-grade buckets.
 //   * Aggregation equality — GAggr and BucketAggr under every action table
 //     equal a brute-force aggregation across batch sizes, DOPs, layouts,
 //     all five aggregates and 0/1/2-column group-bys.
-//   * Filter copying semantics — the yielded TupleRef stays valid until the
-//     next Next() (regression for the contract documented in filter.h).
 //   * Fault injection — the degradation ladder demotes correctly with the
 //     vectorized engine: runs return the fault-free rows exactly or a typed
 //     error, and mid-run demotion reruns (vectorized) from base data.
@@ -21,12 +19,11 @@
 #include "db/database.h"
 #include "db/session.h"
 #include "exec/bucket_aggr.h"
-#include "exec/filter.h"
 #include "exec/gaggr.h"
 #include "exec/sma_scan.h"
-#include "exec/table_scan.h"
 #include "planner/planner.h"
 #include "tests/test_util.h"
+#include "tpch/loader.h"
 #include "util/fault.h"
 
 namespace smadb {
@@ -41,6 +38,7 @@ using storage::ColumnBatch;
 using storage::SelVector;
 using storage::TupleRef;
 using testing::AddMinMaxSmas;
+using testing::DrainRowStrings;
 using testing::ExpectOk;
 using testing::Layout;
 using testing::MakeSyntheticTable;
@@ -49,34 +47,6 @@ using testing::Unwrap;
 using util::FaultKind;
 using util::StatusCode;
 using util::Value;
-
-// Serializes a full run through the row interface.
-std::vector<std::string> DrainRows(exec::Operator* op) {
-  return testing::DrainRowStrings(op);
-}
-
-// Serializes a full run through the batch interface (full projection).
-std::vector<std::string> DrainBatches(exec::Operator* op, size_t batch_size) {
-  ExpectOk(op->Init());
-  std::vector<std::string> rows;
-  Batch batch;
-  batch.Configure(&op->output_schema(), batch_size);
-  while (true) {
-    auto has = op->NextBatch(&batch);
-    EXPECT_TRUE(has.ok()) << has.status().ToString();
-    if (!has.ok() || !*has) break;
-    for (size_t k = 0; k < batch.sel.count(); ++k) {
-      const uint32_t r = batch.sel.row(k);
-      std::string row;
-      for (size_t c = 0; c < op->output_schema().num_fields(); ++c) {
-        row += batch.cols.GetValue(c, r).ToString();
-        row += '|';
-      }
-      rows.push_back(std::move(row));
-    }
-  }
-  return rows;
-}
 
 // ------------------------------------------------------- SelVector units --
 
@@ -203,76 +173,119 @@ TEST(EvalBatchTest, TwoColumnAtomAgreesWithScalarEval) {
   }
 }
 
-// -------------------------------------------------- NextBatch ≡ Next -----
+// ------------------------------------------------ scan ≡ reference -----
 
 using ScanParam = std::tuple<size_t /*batch_size*/, uint32_t /*bucket_pages*/>;
 
 class BatchScanEquivalenceP : public ::testing::TestWithParam<ScanParam> {};
 
+// SmaScan with and without SMAs returns exactly the brute-force selection
+// (ReferenceSelect shares no scan code with the engine) for every layout,
+// predicate shape, batch size and bucket size.
 TEST_P(BatchScanEquivalenceP, EveryOperatorReturnsTheRowPathTuples) {
   const auto [batch_size, bucket_pages] = GetParam();
   TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 2000, Layout::kNoisy,
-                                         /*seed=*/21, bucket_pages);
-  sma::SmaSet smas(t);
-  AddMinMaxSmas(t, &smas, "d");
-  const auto& schema = t->schema();
+  for (const Layout layout :
+       {Layout::kClustered, Layout::kNoisy, Layout::kRandom}) {
+    storage::Table* t = MakeSyntheticTable(
+        &db, 2000, layout, /*seed=*/21, bucket_pages,
+        "t" + std::to_string(static_cast<int>(layout)));
+    sma::SmaSet smas(t);
+    AddMinMaxSmas(t, &smas, "d");
+    const auto& schema = t->schema();
 
-  const std::vector<PredicatePtr> preds = {
-      Predicate::True(),
-      Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kLe,
-                                  Value::MakeDate(util::Date(125)))),
-      Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kGt,
-                                  Value::MakeDate(util::Date(500)))),
-      Predicate::And(
-          Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kLe,
-                                      Value::MakeDate(util::Date(125)))),
-          Unwrap(Predicate::AtomString(&schema, "grp", CmpOp::kEq, "A"))),
-      Predicate::Or(
-          Unwrap(Predicate::AtomConst(&schema, "k", CmpOp::kLt,
-                                      Value::Int64(64))),
-          Unwrap(Predicate::AtomString(&schema, "tag", CmpOp::kEq, "RAIL"))),
-  };
+    const std::vector<PredicatePtr> preds = {
+        Predicate::True(),
+        Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kLe,
+                                    Value::MakeDate(util::Date(125)))),
+        Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kGt,
+                                    Value::MakeDate(util::Date(500)))),
+        Predicate::And(
+            Unwrap(Predicate::AtomConst(&schema, "d", CmpOp::kLe,
+                                        Value::MakeDate(util::Date(125)))),
+            Unwrap(Predicate::AtomString(&schema, "grp", CmpOp::kEq, "A"))),
+        Predicate::Or(
+            Unwrap(Predicate::AtomConst(&schema, "k", CmpOp::kLt,
+                                        Value::Int64(64))),
+            Unwrap(
+                Predicate::AtomString(&schema, "tag", CmpOp::kEq, "RAIL"))),
+    };
 
-  for (size_t p = 0; p < preds.size(); ++p) {
-    SCOPED_TRACE(::testing::Message() << "pred " << p);
-    const PredicatePtr& pred = preds[p];
-    {
-      exec::TableScan row_scan(t, pred);
-      exec::TableScan batch_scan(t, pred);
-      EXPECT_EQ(DrainRows(&row_scan), DrainBatches(&batch_scan, batch_size));
-    }
-    {
-      exec::SmaScan row_scan(t, pred, &smas);
-      exec::SmaScan batch_scan(t, pred, &smas);
-      EXPECT_EQ(DrainRows(&row_scan), DrainBatches(&batch_scan, batch_size));
-    }
-    {
-      // Filter over an unrestricted scan: native batch path refines the
-      // child's selection in place.
-      exec::Filter row_f(std::make_unique<exec::TableScan>(t,
-                                                           Predicate::True()),
-                         pred);
-      exec::Filter batch_f(
-          std::make_unique<exec::TableScan>(t, Predicate::True()), pred);
-      EXPECT_EQ(DrainRows(&row_f), DrainBatches(&batch_f, batch_size));
+    for (size_t p = 0; p < preds.size(); ++p) {
+      SCOPED_TRACE(::testing::Message()
+                   << "layout " << static_cast<int>(layout) << " pred " << p);
+      const PredicatePtr& pred = preds[p];
+      const std::vector<std::string> want = testing::ReferenceSelect(t, *pred);
+      exec::SmaScan plain(t, pred, nullptr);
+      EXPECT_EQ(DrainRowStrings(&plain, batch_size), want) << "without SMAs";
+      exec::SmaScan pruned(t, pred, &smas);
+      EXPECT_EQ(DrainRowStrings(&pruned, batch_size), want) << "with SMAs";
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchScanEquivalenceP,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{64},
-                                         size_t{1024}),
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{3}, size_t{7},
+                                         size_t{64}, size_t{1024}),
                        ::testing::Values(1u, 4u)),
     [](const ::testing::TestParamInfo<ScanParam>& info) {
       return "Bs" + std::to_string(std::get<0>(info.param)) + "Bp" +
              std::to_string(std::get<1>(info.param));
     });
 
-// The default Operator::NextBatch adapter (no override) must agree with the
-// row interface too: GAggr overrides neither, so pulling batches from it
-// exercises the generic row -> batch loop.
+// A scan fills each batch across consecutive buckets of one grade: over a
+// shipdate-sorted table with one-page buckets, a long qualifying run comes
+// back in ceil(rows / batch_size) batches, not one batch per bucket.
+TEST(BatchScanFillTest, QualifyingRunFillsBatchesAcrossBuckets) {
+  TestDb db(16384);
+  tpch::LoadOptions load;
+  load.mode = tpch::ClusterMode::kShipdateSorted;
+  storage::Table* t = Unwrap(tpch::GenerateAndLoadLineItem(
+      &db.catalog, {0.002, 42}, load, nullptr, "li_sorted"));
+  sma::SmaSet smas(t);
+  AddMinMaxSmas(t, &smas, "l_shipdate");
+  const PredicatePtr pred = Unwrap(Predicate::AtomConst(
+      &t->schema(), "l_shipdate", CmpOp::kLe,
+      Value::MakeDate(util::Date::FromYmd(1998, 9, 2))));
+  const std::vector<sma::Grade> grades =
+      testing::GradeBuckets(t, pred, &smas);
+
+  for (const size_t batch_size : {size_t{100}, size_t{1024}}) {
+    SCOPED_TRACE(::testing::Message() << "batch " << batch_size);
+    // Expected batches: a run of same-grade fetched buckets (skipped
+    // buckets do not end a run) fills ceil(run rows / batch_size) batches.
+    uint64_t want_batches = 0, run_rows = 0, fetched = 0;
+    sma::Grade run_grade = sma::Grade::kQualifies;
+    for (uint32_t b = 0; b < grades.size(); ++b) {
+      if (grades[b] == sma::Grade::kDisqualifies) continue;
+      ++fetched;
+      if (grades[b] != run_grade) {
+        want_batches += (run_rows + batch_size - 1) / batch_size;
+        run_rows = 0;
+        run_grade = grades[b];
+      }
+      ExpectOk(t->ForEachTupleInBucket(
+          b, [&](const TupleRef&, storage::Rid) { ++run_rows; }));
+    }
+    want_batches += (run_rows + batch_size - 1) / batch_size;
+    EXPECT_LT(want_batches * 2, fetched) << "the run spans many buckets";
+
+    exec::SmaScan scan(t, pred, &smas);
+    obs::QueryProfile profile;
+    util::QueryContext ctx;
+    ctx.set_profile(&profile);
+    scan.BindContext(&ctx);
+    EXPECT_EQ(DrainRowStrings(&scan, batch_size),
+              testing::ReferenceSelect(t, *pred));
+    ASSERT_EQ(profile.roots().size(), 1u);
+    EXPECT_EQ(profile.roots()[0]->batches(), want_batches);
+  }
+}
+
+// Pipeline breakers copy their materialized rows into the caller's batches:
+// GAggr pulled at a batch size smaller than its group count returns the
+// brute-force groups.
 TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
   TestDb db(16384);
   storage::Table* t = MakeSyntheticTable(&db, 1500, Layout::kNoisy, 31);
@@ -281,11 +294,12 @@ TEST(BatchDefaultAdapterTest, PipelineBreakerServesBatchesViaDefaultAdapter) {
                                      AggSpec::Count("cnt")};
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(100))));
-  auto rows = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
   auto batches = Unwrap(exec::GAggr::Make(
-      std::make_unique<exec::TableScan>(t, pred), {3}, aggs));
-  EXPECT_EQ(DrainRows(rows.get()), DrainBatches(batches.get(), 7));
+      std::make_unique<exec::SmaScan>(t, pred, nullptr), {3, 4}, aggs));
+  const std::vector<std::string> want =
+      testing::ReferenceAggregate(t, *pred, {3, 4}, aggs);
+  EXPECT_GT(want.size(), 7u);
+  EXPECT_EQ(DrainRowStrings(batches.get(), 7), want);
 }
 
 // Projection pushdown: a consumer-built mask unioned with the producer's
@@ -295,7 +309,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   storage::Table* t = MakeSyntheticTable(&db, 500, Layout::kClustered, 41);
   const PredicatePtr pred = Unwrap(Predicate::AtomConst(
       &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(30))));
-  exec::TableScan scan(t, pred);
+  exec::SmaScan scan(t, pred, nullptr);
   std::vector<bool> mask(t->schema().num_fields(), false);
   mask[0] = true;  // consumer reads k
   scan.AddRequiredBatchColumns(&mask);
@@ -304,8 +318,7 @@ TEST(BatchProjectionTest, PartialProjectionDecodesRequestedColumns) {
   ExpectOk(scan.Init());
   Batch batch;
   batch.Configure(&t->schema(), 128, mask);
-  exec::TableScan ref(t, pred);
-  const std::vector<std::string> expected = DrainRows(&ref);
+  const std::vector<std::string> expected = testing::ReferenceSelect(t, *pred);
   size_t row_no = 0;
   while (true) {
     auto has = scan.NextBatch(&batch);
@@ -361,13 +374,11 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
         &t->schema(), "d", CmpOp::kLe, Value::MakeDate(util::Date(188))));
 
     // The degraded SMA-only answer covers exactly the qualifying buckets.
-    std::vector<bool> qualifying(t->num_buckets(), false);
-    exec::BucketSource source(t, pred, &smas);
-    exec::BucketUnit unit;
-    while (Unwrap(source.NextGraded(&unit))) {
-      qualifying[unit.bucket] = unit.grade == sma::Grade::kQualifies;
-    }
-    auto is_qualifying = [&](uint32_t b) -> bool { return qualifying[b]; };
+    const std::vector<sma::Grade> grades =
+        testing::GradeBuckets(t, pred, &smas);
+    auto is_qualifying = [&](uint32_t b) -> bool {
+      return grades[b] == sma::Grade::kQualifies;
+    };
 
     for (const std::vector<size_t>& group_by :
          {std::vector<size_t>{}, std::vector<size_t>{3},
@@ -380,15 +391,15 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
           testing::ReferenceAggregate(t, *pred, group_by, fetch_aggs);
       {
         auto op = Unwrap(exec::GAggr::Make(
-            std::make_unique<exec::TableScan>(t, pred), group_by, fetch_aggs,
-            batch_size));
-        EXPECT_EQ(DrainRows(op.get()), want_fetch) << "GAggr(TableScan)";
+            std::make_unique<exec::SmaScan>(t, pred, nullptr), group_by,
+            fetch_aggs, batch_size));
+        EXPECT_EQ(DrainRowStrings(op.get()), want_fetch) << "GAggr(TableScan)";
       }
       {
         auto op = Unwrap(exec::GAggr::Make(
             std::make_unique<exec::SmaScan>(t, pred, &smas), group_by,
             fetch_aggs, batch_size));
-        EXPECT_EQ(DrainRows(op.get()), want_fetch) << "GAggr(SmaScan)";
+        EXPECT_EQ(DrainRowStrings(op.get()), want_fetch) << "GAggr(SmaScan)";
       }
       exec::BucketAggrOptions options;
       options.batch_size = batch_size;
@@ -398,7 +409,7 @@ TEST_P(BatchAggrEquivalenceP, RowAndBatchModesProduceIdenticalGroups) {
                      const std::vector<AggSpec>& with_aggs) {
         auto op = Unwrap(exec::BucketAggr::Make(t, pred, group_by, with_aggs,
                                                 with, actions, options));
-        return DrainRows(op.get());
+        return DrainRowStrings(op.get());
       };
       EXPECT_EQ(run(exec::kSmaGAggrActions, &smas, aggs), want);
       EXPECT_EQ(run(exec::kSmaScanAggrActions, &smas, fetch_aggs),
@@ -420,47 +431,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "Bs" + std::to_string(std::get<0>(info.param)) + "Dop" +
              std::to_string(std::get<1>(info.param));
     });
-
-// ----------------------------------------- Filter copying semantics ------
-
-// Regression for the contract documented in filter.h: the TupleRef yielded
-// by Filter::Next() must stay valid (same bytes) until the *next* Next(),
-// even when the child internally skipped non-matching tuples in between.
-TEST(FilterSemanticsTest, FilterRefStaysValidAcrossCalls) {
-  TestDb db(16384);
-  storage::Table* t = MakeSyntheticTable(&db, 1200, Layout::kNoisy, 51);
-  // ~1-in-4 selectivity so most Next() calls skip several child tuples.
-  const PredicatePtr pred =
-      Unwrap(Predicate::AtomString(&t->schema(), "tag", CmpOp::kEq, "SHIP"));
-  exec::Filter filter(std::make_unique<exec::TableScan>(t, Predicate::True()),
-                      pred);
-  ExpectOk(filter.Init());
-  TupleRef held;
-  std::string held_snapshot;
-  size_t n = 0;
-  while (true) {
-    TupleRef next;
-    auto has = filter.Next(&next);
-    ExpectOk(has.status());
-    if (*has && n > 0) {
-      // The previously yielded view must not have been clobbered while the
-      // child scanned forward to find `next`.
-      std::string now;
-      for (size_t c = 0; c < t->schema().num_fields(); ++c) {
-        now += held.GetValue(c).ToString() + "|";
-      }
-      EXPECT_EQ(now, held_snapshot) << "row " << n - 1;
-    }
-    if (!*has) break;
-    held = next;
-    held_snapshot.clear();
-    for (size_t c = 0; c < t->schema().num_fields(); ++c) {
-      held_snapshot += held.GetValue(c).ToString() + "|";
-    }
-    ++n;
-  }
-  EXPECT_GT(n, 0u);
-}
 
 // ------------------------------------------------ session batch knob -----
 
